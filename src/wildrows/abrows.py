@@ -87,7 +87,7 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
     implications of minimal elements are skipped.
     """
     w = p.w
-    schedule = [(1 << (j - 1), to_mask(p.lower_covers(j))) for j in p.linext]
+    schedule = [(1 << (j - 1), p.lower_cover_masks[j]) for j in p.linext]
     stack = [(RowAB.full(w), 0)]
     final = []
     while stack:

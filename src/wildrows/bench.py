@@ -9,7 +9,6 @@ platform and Python version.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -24,7 +23,6 @@ from .core import (
     Tree,
     bit_positions,
     from_mask,
-    to_mask,
 )
 from .rankpoly import rank_poly_recursive
 
@@ -145,7 +143,7 @@ def _walk_ideals(p: Poset, visit):
     """Depth-first extension along the linear extension: each element may
     join only once its lower covers are in.  Visits every ideal mask once."""
     order = p.linext
-    lower = [to_mask(p.lower_covers(e)) for e in order]
+    lower = [p.lower_cover_masks[e] for e in order]
     w = p.w
 
     def rec(i, mask):
@@ -347,6 +345,9 @@ def run_bench(specs, workers: int = 1, timeout_s: float | None = None) -> BenchR
     specs = list(specs)
     _warmup()
     if workers > 1 and len(specs) > 1:
+        # imported here so that plain CLI starts do not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, specs, [timeout_s] * len(specs)))
     else:

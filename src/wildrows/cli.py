@@ -9,6 +9,11 @@ are line-oriented with '#' comments and whitespace-separated fields:
                (empty conclusion allowed: "a ->")
   bench spec:  lines "m l t seed"
 
+Every universe size is bounded by MAX_UNIVERSE (4096 elements): a header
+"<kind> <w>", a bench spec's m*l and the size asked of 'gen' must lie in
+0..MAX_UNIVERSE, or the call fails with exit code 2 before anything is
+allocated for the instance.
+
 Sets print as "{e1,e2,...}" ascending, one per line; rows print in the row
 token format.  Exit codes: 0 success, 1 usage error, 2 malformed input file,
 3 guard violation (instance too large for a requested brute-force path).
@@ -29,6 +34,7 @@ from .core import (
     InputError,
     Poset,
     Tree,
+    bit_positions,
     render_row,
     rowab_count,
     rowab_members,
@@ -39,8 +45,17 @@ from .rankpoly import rank_poly_recursive
 from .subtrees import enumerate_k_subtrees
 
 
+MAX_UNIVERSE = 4096
+
+
 # ---------------------------------------------------------------------------
 # instance file formats
+
+def _check_universe(w: int, where: str) -> int:
+    if not 0 <= w <= MAX_UNIVERSE:
+        raise InputError(f"{where}: universe size {w} outside 0..{MAX_UNIVERSE}")
+    return w
+
 
 def _meaningful_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -58,9 +73,10 @@ def _header(lines, expected: str) -> int:
     if len(parts) != 2 or parts[0] != expected:
         raise InputError(f"line {lineno}: expected header '{expected} <w>', got {line!r}")
     try:
-        return int(parts[1])
+        w = int(parts[1])
     except ValueError:
         raise InputError(f"line {lineno}: bad universe size {parts[1]!r}") from None
+    return _check_universe(w, f"line {lineno}")
 
 
 def _int_pair(lineno: int, line: str) -> tuple[int, int]:
@@ -111,7 +127,7 @@ def format_poset(p: Poset, comment: str = "") -> str:
         out.append(f"# {comment}")
     out.append(f"poset {p.w}")
     for u in p.elements:
-        for v in sorted(p.upper_covers(u)):
+        for v in bit_positions(p.upper_cover_masks[u]):
             out.append(f"{u} {v}")
     return "\n".join(out) + "\n"
 
@@ -136,6 +152,7 @@ def parse_bench_specs(text: str) -> list[LayeredSpec]:
             m, l, t, seed = (int(x) for x in parts)
         except ValueError:
             raise InputError(f"line {lineno}: non-integer field in {line!r}") from None
+        _check_universe(m * l, f"line {lineno}")
         specs.append(LayeredSpec(m, l, t, seed))
     if not specs:
         raise InputError("bench spec file contains no instances")
@@ -238,12 +255,14 @@ def _cmd_whitney(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "poset":
+        _check_universe(args.m * args.l, "gen poset")
         spec = LayeredSpec(args.m, args.l, args.t, args.seed)
         text = format_poset(
             gen_layered_poset(spec),
             comment=f"layered poset m={spec.m} l={spec.l} t={spec.t} seed={spec.seed}",
         )
     else:
+        _check_universe(args.w, "gen tree")
         text = format_tree(
             gen_random_tree(args.w, args.seed),
             comment=f"random tree w={args.w} seed={args.seed}",

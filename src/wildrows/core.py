@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 
 class InputError(ValueError):
     """Malformed textual input or structurally invalid instance data."""
@@ -31,7 +29,7 @@ class GuardError(RuntimeError):
 def to_mask(elements: Iterable[int]) -> int:
     m = 0
     for e in elements:
-        m |= 1 << (int(e) - 1)  # int() guards against numpy fixed-width ints
+        m |= 1 << (e - 1)
     return m
 
 
@@ -438,6 +436,9 @@ class Poset:
     (ascending topological order, ties by label) is computed once and drives
     every deterministic ordering downstream.
 
+    The order is held as per-element masks indexed by label (index 0 unused):
+    `down_masks`/`up_masks` for the generated ideal/filter,
+    `lower_cover_masks`/`upper_cover_masks` for the cover relation.
     Instances are immutable after construction and safe to share.
     """
 
@@ -445,60 +446,70 @@ class Poset:
         if w < 0:
             raise InputError(f"poset size must be nonnegative, got {w}")
         self.w = w
-        leq = np.eye(w, dtype=bool)
+        pred = [0] * (w + 1)
+        succ = [0] * (w + 1)
         for u, v in relations:
             if not (1 <= u <= w and 1 <= v <= w):
                 raise InputError(f"relation ({u},{v}) outside universe 1..{w}")
-            leq[u - 1, v - 1] = True
-        # reflexive-transitive closure by repeated boolean squaring
-        while True:
-            nxt = leq | (leq @ leq)
-            if (nxt == leq).all():
-                break
-            leq = nxt
-        sym = leq & leq.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            u, v = np.argwhere(sym)[0]
-            raise InputError(f"not antisymmetric: {u + 1} and {v + 1} are in a cycle")
-        leq.setflags(write=False)
-        self.leq = leq
-        strict = leq & ~np.eye(w, dtype=bool)
-        self._covers = strict & ~(strict @ strict)
-        self._covers.setflags(write=False)
-        self.down_masks = [0] * (w + 1)  # index by element label; [0] unused
-        self.up_masks = [0] * (w + 1)
-        for e in range(1, w + 1):
-            self.down_masks[e] = to_mask(i + 1 for i in np.flatnonzero(leq[:, e - 1]))
-            self.up_masks[e] = to_mask(i + 1 for i in np.flatnonzero(leq[e - 1, :]))
-        self.linext = self._linear_extension()
-
-    def _linear_extension(self) -> tuple[int, ...]:
-        indeg = [int(self._covers[:, e].sum()) for e in range(self.w)]
-        heap = [e + 1 for e in range(self.w) if indeg[e] == 0]
-        heapq.heapify(heap)
-        out = []
+            if u != v:
+                pred[v] |= 1 << (u - 1)
+                succ[u] |= 1 << (v - 1)
+        # Kahn's sort with a min-heap: an element becomes available once all
+        # of its predecessors are placed, which is the same moment for any
+        # relation list generating the order, so popping the least available
+        # label gives the lexicographically least linear extension.
+        indeg = [m.bit_count() for m in pred]
+        heap = [e for e in range(1, w + 1) if not indeg[e]]  # sorted, so a heap
+        order = []
         while heap:
-            p = heapq.heappop(heap)
-            out.append(p)
-            for q in np.flatnonzero(self._covers[p - 1, :]):
-                indeg[q] -= 1
-                if indeg[q] == 0:
-                    heapq.heappush(heap, int(q) + 1)
-        return tuple(out)
+            u = heapq.heappop(heap)
+            order.append(u)
+            for v in bit_positions(succ[u]):
+                indeg[v] -= 1
+                if not indeg[v]:
+                    heapq.heappush(heap, v)
+        if len(order) < w:
+            u, v = _first_cycle_pair(succ, [e for e in range(1, w + 1) if indeg[e]])
+            raise InputError(f"not antisymmetric: {u} and {v} are in a cycle")
+        self.linext = tuple(order)
+        # p is a lower cover of v iff p is a given predecessor of v lying
+        # strictly below no other given predecessor of v
+        down = [0] * (w + 1)
+        lower = [0] * (w + 1)
+        for v in order:
+            below = covered = 0
+            for p in bit_positions(pred[v]):
+                below |= down[p]
+                covered |= down[p] ^ 1 << (p - 1)
+            down[v] = below | 1 << (v - 1)
+            lower[v] = pred[v] & ~covered
+        # reverse order: every upper cover of v registers itself before v
+        up = [0] * (w + 1)
+        upper = [0] * (w + 1)
+        for v in reversed(order):
+            above = 1 << (v - 1)
+            for q in bit_positions(upper[v]):
+                above |= up[q]
+            up[v] = above
+            for p in bit_positions(lower[v]):
+                upper[p] |= 1 << (v - 1)
+        self.down_masks = down
+        self.up_masks = up
+        self.lower_cover_masks = lower
+        self.upper_cover_masks = upper
 
     @property
     def elements(self) -> range:
         return range(1, self.w + 1)
 
     def le(self, u: int, v: int) -> bool:
-        return bool(self.leq[u - 1, v - 1])
+        return bool(self.down_masks[v] >> (u - 1) & 1)
 
     def lower_covers(self, p: int) -> frozenset[int]:
-        return frozenset(int(i) + 1 for i in np.flatnonzero(self._covers[:, p - 1]))
+        return from_mask(self.lower_cover_masks[p])
 
     def upper_covers(self, p: int) -> frozenset[int]:
-        return frozenset(int(i) + 1 for i in np.flatnonzero(self._covers[p - 1, :]))
+        return from_mask(self.upper_cover_masks[p])
 
     def down_set(self, p: int) -> frozenset[int]:
         """All q ≤ p (the ideal generated by p)."""
@@ -524,11 +535,61 @@ class Poset:
         return cls(w)
 
     def __eq__(self, other):
-        return isinstance(other, Poset) and self.w == other.w and np.array_equal(self.leq, other.leq)
+        return isinstance(other, Poset) and self.w == other.w and self.down_masks == other.down_masks
 
     def __repr__(self):
         rels = [(u, v) for u in self.elements for v in self.upper_covers(u)]
         return f"Poset(w={self.w}, covers={sorted(rels)})"
+
+
+def _first_cycle_pair(succ: list[int], nodes: list[int]) -> tuple[int, int]:
+    """The least element u lying on a cycle of the relation graph, and the
+    least other element of u's strongly connected component.
+
+    Iterative Tarjan over `nodes`, which must be closed under successors
+    and contain every element on a cycle.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    best = None
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, bit_positions(succ[root]))]
+        while work:
+            v, children = work[-1]
+            for x in children:
+                if x not in index:
+                    index[x] = low[x] = len(index)
+                    stack.append(x)
+                    on_stack.add(x)
+                    work.append((x, bit_positions(succ[x])))
+                    break
+                if x in on_stack:
+                    low[v] = min(low[v], index[x])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        x = stack.pop()
+                        on_stack.discard(x)
+                        component.append(x)
+                        if x == v:
+                            break
+                    if len(component) > 1:
+                        pair = tuple(sorted(component)[:2])
+                        if best is None or pair < best:
+                            best = pair
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wildrows
 from wildrows import InputError, Poset, Tree
 from wildrows.cli import (
+    MAX_UNIVERSE,
     format_poset,
     format_tree,
     main,
@@ -217,3 +224,57 @@ def test_exit_guard_violation(tmp_path, capsys):
     code, _, err = run(capsys, "models", str(big), "--k", "3")
     assert code == 3
     assert "w <= 24" in err or "24" in err
+
+# ---------------------------------------------------------------------------
+# cold interpreter: universe-size limit and import cost
+
+SRC = str(Path(wildrows.__file__).resolve().parents[1])
+
+
+def run_cold(*args):
+    """A fresh interpreter importing wildrows from this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_universe_limit_accepts_max(tmp_path):
+    poset = tmp_path / "max.poset"
+    poset.write_text(f"poset {MAX_UNIVERSE}\n1 2\n")
+    done = run_cold("-m", "wildrows", "ideals", str(poset), "--k", "1", "--format", "count")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{MAX_UNIVERSE - 1}\n", "")
+    family = tmp_path / "max.imp"
+    family.write_text(f"imp {MAX_UNIVERSE}\n1 -> 2\n")
+    done = run_cold("-m", "wildrows", "models", str(family), "--format", "count")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{3 << (MAX_UNIVERSE - 2)}\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ideals", "poset {big}\n1 2\n"),
+    ("ideals", "poset 99999999999\n"),
+    ("ideals", "poset -1\n"),
+    ("whitney", "poset {big}\n"),
+    ("models", "imp {big}\n1 -> 2\n"),
+    ("models", "imp -3\n"),
+    ("subtrees", "tree {big}\n1 2\n"),
+    ("bench", "{big} 1 0 7\n"),
+])
+def test_universe_limit_rejects_beyond_max(tmp_path, argv):
+    command, text = argv
+    f = tmp_path / "input.txt"
+    f.write_text(text.format(big=MAX_UNIVERSE + 1))
+    args = {"bench": ["bench", "--spec", str(f)], "subtrees": ["subtrees", str(f), "--k", "2"]}.get(command, [command, str(f)])
+    done = run_cold("-m", "wildrows", *args)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: line 1: universe size ")
+
+
+def test_gen_rejects_universe_beyond_max(capsys):
+    assert run(capsys, "gen", "tree", "--w", str(MAX_UNIVERSE + 1), "--seed", "1")[0] == 2
+    assert run(capsys, "gen", "poset", "--m", "65", "--l", "64", "--t", "1", "--seed", "1")[0] == 2
+
+
+def test_import_loads_neither_numpy_nor_process_pools():
+    done = run_cold("-c", "import sys, wildrows, wildrows.cli; "
+                    "print(sorted({'numpy', 'concurrent.futures.process'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

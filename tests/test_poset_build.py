@@ -1,0 +1,108 @@
+"""Differential test of Poset construction against a plain set-based
+Warshall closure, on seeded relation lists with duplicates, self-loops,
+reversed pairs, cycles and out-of-range pairs, plus chains, antichains and
+disjoint unions."""
+
+import pytest
+
+from wildrows import InputError, Poset, SplitMix64
+
+
+def reference(w, relations):
+    """What Poset(w, relations) must hold, derived with sets alone: either
+    ("error", message) or ("ok", le_pairs, lower_covers, linext)."""
+    for u, v in relations:
+        if not (1 <= u <= w and 1 <= v <= w):
+            return "error", f"relation ({u},{v}) outside universe 1..{w}"
+    le = {(e, e) for e in range(1, w + 1)} | set(relations)
+    for k in range(1, w + 1):
+        for i in range(1, w + 1):
+            if (i, k) in le:
+                for j in range(1, w + 1):
+                    if (k, j) in le:
+                        le.add((i, j))
+    cyclic = sorted((u, v) for u, v in le if u != v and (v, u) in le)
+    if cyclic:
+        u, v = cyclic[0]
+        return "error", f"not antisymmetric: {u} and {v} are in a cycle"
+    lt = {(u, v) for u, v in le if u != v}
+    lower = {
+        e: {c for c in range(1, w + 1) if (c, e) in lt and not any((c, d) in lt and (d, e) in lt for d in range(1, w + 1))}
+        for e in range(1, w + 1)
+    }
+    linext = []
+    while len(linext) < w:  # greedy least available label: the lexicographically least extension
+        placed = set(linext)
+        linext.append(min(e for e in range(1, w + 1) if e not in placed and all(c in placed for c, d in lt if d == e)))
+    return "ok", le, lower, tuple(linext)
+
+
+def random_relations(rng, w):
+    """Pairs along a hidden permutation, spiced with duplicates, self-loops,
+    reversed pairs (cycles) and the odd out-of-range pair."""
+    perm = rng.sample(range(1, w + 1), w)
+    rels = []
+    for _ in range(rng.below(2 * w + 2)):
+        i, j = sorted((rng.below(w), rng.below(w))) if w else (0, 0)
+        if not w:
+            break
+        rels.append((perm[i], perm[j]))
+        kind = rng.below(40)
+        if kind == 0:
+            rels.append((perm[j], perm[i]))
+        elif kind == 1:
+            rels.append(rels[rng.below(len(rels))])
+        elif kind == 2:
+            e = 1 + rng.below(w)
+            rels.append((e, e))
+    if rng.below(30) == 0:
+        bad = (-1, 0, w + 1)[rng.below(3)]
+        rels.insert(rng.below(len(rels) + 1), (bad, 1) if rng.below(2) else (1, bad))
+    return rels
+
+
+def shifted(rels, by):
+    return [(u + by, v + by) for u, v in rels]
+
+
+def instances():
+    rng = SplitMix64(0x5EED_2012)
+    for _ in range(400):
+        w = rng.below(13)
+        yield w, random_relations(rng, w)
+    for w in range(13):
+        yield w, [(i, i + 1) for i in range(1, w)]            # chain
+        yield w, [(i + 1, i) for i in range(1, w)]            # reversed chain
+        yield w, []                                           # antichain
+        yield w, [(i, i) for i in range(1, w + 1)]            # only self-loops
+        yield w, [(i, i + 1) for i in range(1, w)] + ([(w, 1)] if w > 1 else [])  # one big cycle
+    for _ in range(60):  # disjoint unions of two acyclic parts
+        a, b = rng.below(7), rng.below(7)
+        left = [(u, v) for u, v in random_relations(rng, a) if 1 <= u < v <= a]
+        right = [(u, v) for u, v in random_relations(rng, b) if 1 <= u < v <= b]
+        yield a + b, left + shifted(right, a)
+
+
+@pytest.mark.parametrize("w,relations", list(instances()))
+def test_poset_matches_warshall_reference(w, relations):
+    expected = reference(w, relations)
+    if expected[0] == "error":
+        with pytest.raises(InputError) as info:
+            Poset(w, relations)
+        assert str(info.value) == expected[1]
+        return
+    _, le, lower, linext = expected
+    p = Poset(w, relations)
+    elements = range(1, w + 1)
+    for u in elements:
+        assert p.down_set(u) == {c for c in elements if (c, u) in le}
+        assert p.up_set(u) == {c for c in elements if (u, c) in le}
+        assert p.lower_covers(u) == lower[u]
+        assert p.upper_covers(u) == {e for e in elements if u in lower[e]}
+        for v in elements:
+            assert p.le(u, v) == ((u, v) in le)
+    assert p.linext == linext
+    covers = [(c, e) for e in elements for c in lower[e]]
+    assert p == Poset(w, covers) == Poset(w, sorted(le))
+    assert p != Poset(w + 1, covers)
+    assert (p == Poset.antichain(w)) == (not covers)
