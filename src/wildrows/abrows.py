@@ -9,40 +9,33 @@ one or two rows whose disjoint union is exactly the surviving member sets.
 
 from __future__ import annotations
 
-from .core import Bundle, Poset, RankPolynomial, RowAB, from_mask, to_mask
+from .core import Bundle, Poset, RankPolynomial, RowAB, to_mask
 
 
-def _impose(r: RowAB, jbit: int, bmask: int) -> list[RowAB]:
-    zeros = r.zeros_mask
+def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
+    """ab_impose on a plain (ones, twos, zeros, bundles, next_bundle) row,
+    without validation; the position `jbit` must be free."""
+    ones, twos, zeros, bundles, next_bundle = row
     if bmask & zeros:
         # conclusion blocked by a zero: the premise position must be zero
-        return [RowAB(r.w, r.ones_mask, r.twos_mask & ~jbit, r.bundles, r.next_bundle)]
-    if not bmask & ~r.ones_mask:
+        return [(ones, twos & ~jbit, zeros | jbit, bundles, next_bundle)]
+    if not bmask & ~ones:
         # conclusion already forced: the row carries over
-        return [r]
-    if not bmask & ~(r.ones_mask | r.twos_mask):
+        return [row]
+    if not bmask & ~(ones | twos):
         # conclusion touches only ones and free positions: record the
         # constraint as a fresh bundle on the free ones
-        conc = bmask & r.twos_mask
-        j = jbit.bit_length()
-        bundle = Bundle(r.next_bundle, j, conc)
-        return [
-            RowAB(
-                r.w,
-                r.ones_mask,
-                r.twos_mask & ~(jbit | conc),
-                r.bundles + (bundle,),
-                r.next_bundle + 1,
-            )
-        ]
+        conc = bmask & twos
+        bundle = Bundle(next_bundle, jbit.bit_length(), conc)
+        return [(ones, twos & ~(jbit | conc), zeros, bundles + (bundle,), next_bundle + 1)]
     # conclusion touches existing bundle symbols: split on the premise.
     # Premise out:
-    r_out = RowAB(r.w, r.ones_mask, r.twos_mask & ~jbit, r.bundles, r.next_bundle)
+    row_out = (ones, twos & ~jbit, zeros | jbit, bundles, next_bundle)
     # Premise in: force the conclusion, rippling through the bundles it hits.
-    ones = r.ones_mask | jbit | (bmask & r.twos_mask)
-    twos = r.twos_mask & ~(jbit | bmask)
-    bundles = []
-    for b in r.bundles:
+    ones |= jbit | (bmask & twos)
+    twos &= ~(jbit | bmask)
+    kept = []
+    for b in bundles:
         pbit = 1 << (b.prem - 1)
         if pbit & bmask:
             # forced premise: the whole bundle collapses to ones
@@ -50,17 +43,21 @@ def _impose(r: RowAB, jbit: int, bmask: int) -> list[RowAB]:
             continue
         hit = b.conc_mask & bmask
         if not hit:
-            bundles.append(b)
+            kept.append(b)
             continue
         ones |= hit
         rest = b.conc_mask & ~bmask
         if rest:
-            bundles.append(Bundle(b.bid, b.prem, rest))
+            kept.append(Bundle(b.bid, b.prem, rest))
         else:
             # conclusion fully forced: the premise position relaxes to free
             twos |= pbit
-    r_in = RowAB(r.w, ones, twos, tuple(bundles), r.next_bundle)
-    return [r_out, r_in]
+    return [row_out, (ones, twos, zeros, tuple(kept), next_bundle)]
+
+
+def _validated(w: int, rows: list[tuple]) -> list[RowAB]:
+    """Plain rows as RowAB, which checks each one."""
+    return [RowAB(w, ones, twos, bundles, nxt) for ones, twos, _, bundles, nxt in rows]
 
 
 def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
@@ -76,7 +73,8 @@ def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     bmask = to_mask(b)
     if bmask & jbit:
         raise ValueError("premise position inside its own conclusion")
-    return _impose(r, jbit, bmask)
+    row = (r.ones_mask, r.twos_mask, r.zeros_mask, r.bundles, r.next_bundle)
+    return _validated(r.w, _impose(row, jbit, bmask))
 
 
 def ab_enumerate(p: Poset) -> list[RowAB]:
@@ -87,22 +85,22 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
     implications of minimal elements are skipped.
     """
     w = p.w
-    schedule = [(1 << (j - 1), p.lower_cover_masks[j]) for j in p.linext]
-    stack = [(RowAB.full(w), 0)]
+    covers = p.lower_cover_masks
+    schedule = [(1 << (j - 1), covers[j]) for j in p.linext if covers[j]]
+    n = len(schedule)
+    stack = [((0, (1 << w) - 1, 0, (), 1), 0)]
     final = []
     while stack:
-        r, i = stack.pop()
-        while i < w:
+        row, i = stack.pop()
+        while i < n:
             jbit, bmask = schedule[i]
             i += 1
-            if not bmask:
-                continue
-            sons = _impose(r, jbit, bmask)
-            r = sons[0]
+            sons = _impose(row, jbit, bmask)
+            row = sons[0]
             if len(sons) == 2:
                 stack.append((sons[1], i))
-        final.append(r)
-    return final
+        final.append(row)
+    return _validated(w, final)
 
 
 def cardinality_poly(r: RowAB) -> RankPolynomial:
@@ -119,10 +117,13 @@ def cardinality_poly(r: RowAB) -> RankPolynomial:
     return poly
 
 
+def rows_poly(rows) -> RankPolynomial:
+    """Sum of the rows' cardinality polynomials: coefficient k counts the
+    k-element members of the disjoint rows."""
+    return sum((cardinality_poly(r) for r in rows), RankPolynomial.zero())
+
+
 def whitney(p: Poset) -> RankPolynomial:
     """Rank polynomial of the ideal lattice: coefficient k is the number of
     k-element ideals; evaluation at 1 the total ideal count."""
-    total = RankPolynomial.zero()
-    for r in ab_enumerate(p):
-        total = total + cardinality_poly(r)
-    return total
+    return rows_poly(ab_enumerate(p))

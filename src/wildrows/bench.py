@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 from time import perf_counter
 
-from .abrows import ab_enumerate, cardinality_poly
+from .abrows import ab_enumerate, rows_poly
 from .closure import is_model_mask
 from .core import (
     GuardError,
@@ -308,9 +308,7 @@ def _bench_one(spec: LayeredSpec, timeout_s: float | None = None) -> BenchRow:
     poset = gen_layered_poset(spec)
     t0 = perf_counter()
     rows = ab_enumerate(poset)
-    poly_ab = RankPolynomial.zero()
-    for r in rows:
-        poly_ab = poly_ab + cardinality_poly(r)
+    poly_ab = rows_poly(rows)
     t1 = perf_counter()
     poly_rec, nsum = rank_poly_recursive(poset)
     t2 = perf_counter()
@@ -330,8 +328,7 @@ def _bench_one(spec: LayeredSpec, timeout_s: float | None = None) -> BenchRow:
 def _warmup():
     # one throwaway run of both methods so lazy setup stays out of timings
     p = Poset.chain(3)
-    for r in ab_enumerate(p):
-        cardinality_poly(r)
+    rows_poly(ab_enumerate(p))
     rank_poly_recursive(p)
 
 

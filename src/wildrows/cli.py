@@ -25,7 +25,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .abrows import ab_enumerate, whitney
+from .abrows import ab_enumerate, rows_poly
 from .bench import LayeredSpec, gen_layered_poset, gen_random_tree, run_bench
 from .core import (
     GuardError,
@@ -232,23 +232,15 @@ def _cmd_subtrees(args) -> int:
 
 def _cmd_whitney(args) -> int:
     poset = parse_poset_file(Path(args.file).read_text())
-    if args.method == "ab":
-        poly = whitney(poset)
-        print(" ".join(map(str, poly.padded(poset.w))))
-    elif args.method == "recursive":
+    if args.method == "recursive":
         poly, _ = rank_poly_recursive(poset)
-        print(" ".join(map(str, poly.padded(poset.w))))
     else:
-        from .abrows import cardinality_poly
-        from .core import RankPolynomial
-
         rows = ab_enumerate(poset)
-        poly_ab = RankPolynomial.zero()
-        for r in rows:
-            poly_ab = poly_ab + cardinality_poly(r)
+        poly = rows_poly(rows)
+    print(" ".join(map(str, poly.padded(poset.w))))
+    if args.method == "both":
         poly_rec, nsum = rank_poly_recursive(poset)
-        print(" ".join(map(str, poly_ab.padded(poset.w))))
-        print("agree" if poly_ab == poly_rec else "disagree")
+        print("agree" if poly == poly_rec else "disagree")
         print(f"R={len(rows)} nsum={nsum}")
     return 0
 

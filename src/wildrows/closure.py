@@ -67,11 +67,7 @@ def close(seed, family: ImplicationFamily) -> frozenset[int]:
 
 def is_model(x, family: ImplicationFamily) -> bool:
     """True iff `x` satisfies every implication of the family."""
-    m = to_mask(x)
-    for prem, conc in family.masks:
-        if m & prem == prem and m & conc != conc:
-            return False
-    return True
+    return is_model_mask(to_mask(x), family.masks)
 
 
 def is_model_mask(m: int, masks) -> bool:

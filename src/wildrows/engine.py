@@ -13,6 +13,7 @@ of k-element models.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -31,8 +32,8 @@ from .core import (
 
 # Contract: oracle(ones, zeros, k) is True iff some model Z of the family
 # satisfies ones ⊆ Z, Z ∩ zeros = ∅ and |Z| = k.  The engine always passes
-# the closure of a row's ones-part.  k=None (or "any") lifts the cardinality
-# restriction; the engine itself only ever passes an int.
+# the closure of a row's ones-part.  k=None lifts the cardinality restriction;
+# the engine itself only ever passes an int.
 FeasibilityOracle = Callable[[frozenset, frozenset, Optional[int]], bool]
 
 BRUTE_ORACLE_MAX_W = 24
@@ -69,7 +70,11 @@ class FinalStack:
     def count(self, k: int | None = None) -> int:
         if k is None:
             return self.model_count()
-        return sum(len(row012_list_k(r, k)) for r in self.rows)
+        return sum(
+            math.comb(r.twos_mask.bit_count(), k - r.ones_mask.bit_count())
+            for r in self.rows
+            if r.ones_mask.bit_count() <= k
+        )
 
     def sets(self, k: int | None = None) -> Iterator[frozenset[int]]:
         """Member sets in row order, combination order within each row."""
@@ -119,12 +124,12 @@ def candidate_sons(r: Row012, imp: Implication) -> list[Row012]:
     return [Row012(r.w, o, t, r.pending + 1) for o, t in sons]
 
 
-def enumerate_models(family: ImplicationFamily) -> FinalStack:
-    """All models of the family as a final stack of disjoint rows.
-
-    Deterministic: the topmost working-stack row is always processed next,
-    and sons are pushed so that the first-listed son is processed first.
-    """
+def _lifo(
+    family: ImplicationFamily, admit: Callable[[int, int], bool] | None = None
+) -> FinalStack:
+    """The LIFO exclusion loop of both enumerators.  `admit`, when given,
+    vets each candidate son (ones, twos) before it may be stacked; None
+    admits every son."""
     w, h = family.w, family.h
     masks = family.masks
     full = (1 << w) - 1
@@ -146,13 +151,28 @@ def enumerate_models(family: ImplicationFamily) -> FinalStack:
             final.append(Row012(w, ones, twos, pending))
             continue
         stats.candidate_sons += len(sons)
+        if admit is not None:
+            proper = [son for son in sons if admit(*son)]
+            stats.killed_candidates += len(sons) - len(proper)
+            sons = proper
         if not sons:
+            # no member survives; unreachable under a consistent feasibility
+            # filter, since a feasible row keeps at least one son feasible
             stats.wasteful_deletions += 1
             continue
         for o, t in reversed(sons):
             stack.append((o, t, pending + 1))
     stats.final_row_count = len(final)
     return FinalStack(tuple(final), stats)
+
+
+def enumerate_models(family: ImplicationFamily) -> FinalStack:
+    """All models of the family as a final stack of disjoint rows.
+
+    Deterministic: the topmost working-stack row is always processed next,
+    and sons are pushed so that the first-listed son is processed first.
+    """
+    return _lifo(family)
 
 
 def enumerate_k_models(
@@ -176,14 +196,12 @@ def enumerate_k_models(
     (must agree with the generic forward chaining); by default the family's
     own chaining is used.
     """
-    w, h = family.w, family.h
+    w = family.w
     if not 0 <= k <= w:
         raise ValueError(f"k must be within 0..{w}, got {k}")
-    masks = family.masks
     full = (1 << w) - 1
     if closure_mask is None:
         closure_mask = Closer(family).close_mask
-    stats = EngineStats()
 
     def feasible(ones, twos):
         zeros = full & ~(ones | twos)
@@ -193,39 +211,8 @@ def enumerate_k_models(
         return bool(oracle(from_mask(z0), from_mask(zeros), k))
 
     if not feasible(0, full):
-        return FinalStack((), stats)
-    final = []
-    stack = [(0, full, 1)]
-    while stack:
-        ones, twos, pending = stack.pop()
-        sons = None
-        while pending <= h:
-            prem, conc = masks[pending - 1]
-            stats.impositions += 1
-            sons = _sons_masks(ones, twos, prem, conc, full)
-            if sons is None:
-                pending += 1
-                continue
-            break
-        else:
-            final.append(Row012(w, ones, twos, pending))
-            continue
-        stats.candidate_sons += len(sons)
-        proper = []
-        for son in sons:
-            if feasible(*son):
-                proper.append(son)
-            else:
-                stats.killed_candidates += 1
-        if not proper:
-            # unreachable with a consistent oracle: a feasible row keeps at
-            # least one son feasible
-            stats.wasteful_deletions += 1
-            continue
-        for o, t in reversed(proper):
-            stack.append((o, t, pending + 1))
-    stats.final_row_count = len(final)
-    return FinalStack(tuple(final), stats)
+        return FinalStack((), EngineStats())
+    return _lifo(family, feasible)
 
 
 def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:
@@ -246,7 +233,7 @@ def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:
         if om & zm:
             return False
         free = sorted(from_mask(full & ~(om | zm)))
-        if k is None or k == "any":
+        if k is None:
             sizes = range(len(free) + 1)
         else:
             need = k - om.bit_count()

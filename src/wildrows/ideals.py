@@ -61,7 +61,7 @@ def ideal_oracle(p: Poset) -> FeasibilityOracle:
             y_filter |= up[e]
         if z0 & y_filter:
             return False
-        if k is None or k == "any":
+        if k is None:
             return True
         return z0.bit_count() <= k <= (full & ~y_filter).bit_count()
 

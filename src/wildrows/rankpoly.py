@@ -55,20 +55,27 @@ def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, i
     down, up = p.down_masks, p.up_masks
     sdown = _strict_down(p)
     cache: dict[int, RankPolynomial] | None = {} if memo else None
-
-    def rec(subset: int) -> tuple[RankPolynomial, int]:
-        if _is_antichain(subset, sdown):
-            return RankPolynomial.binomial(subset.bit_count()), 1
-        if cache is not None and subset in cache:
-            return cache[subset], 0
-        a = _pivot(subset, p)
-        without_a, n_minus = rec(subset & ~up[a])
-        above, n_plus = rec(subset & ~down[a])
-        alpha = (down[a] & subset).bit_count()
-        poly = without_a + above.shifted(alpha)
-        if cache is not None:
-            cache[subset] = poly
-        return poly, n_minus + n_plus
-
-    poly, nsum = rec((1 << p.w) - 1)
+    # Explicit stack, so the depth never meets the interpreter's recursion
+    # limit.  A task (subset, 0) evaluates the subset; (subset, a) combines
+    # the two results on top of `values` for pivot a.  Ideals avoiding a are
+    # evaluated first, as in the plain recursion.
+    values: list[tuple[RankPolynomial, int]] = []
+    tasks = [((1 << p.w) - 1, 0)]
+    while tasks:
+        subset, a = tasks.pop()
+        if a:
+            above, n_plus = values.pop()
+            without_a, n_minus = values.pop()
+            poly = without_a + above.shifted((down[a] & subset).bit_count())
+            if cache is not None:
+                cache[subset] = poly
+            values.append((poly, n_minus + n_plus))
+        elif _is_antichain(subset, sdown):
+            values.append((RankPolynomial.binomial(subset.bit_count()), 1))
+        elif cache is not None and subset in cache:
+            values.append((cache[subset], 0))
+        else:
+            a = _pivot(subset, p)
+            tasks += [(subset, a), (subset & ~down[a], 0), (subset & ~up[a], 0)]
+    poly, nsum = values.pop()
     return poly, (None if memo else nsum)

@@ -121,7 +121,7 @@ def subtree_oracle(t: Tree) -> FeasibilityOracle:
         if z0 & y:
             return False
         forest = full & ~y
-        if k is None or k == "any":
+        if k is None:
             return True
         if z0:
             if z0.bit_count() > k:

@@ -218,7 +218,6 @@ def test_brute_oracle_examples():
     assert oracle(frozenset({1}), frozenset({1}), 2) is False
     assert oracle(frozenset({1}), frozenset({1}), None) is False
     assert oracle(frozenset({5}), frozenset(), None) is True
-    assert oracle(frozenset({5}), frozenset(), "any") is True
 
 
 def test_brute_oracle_guard():
