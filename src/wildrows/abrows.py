@@ -9,7 +9,7 @@ one or two rows whose disjoint union is exactly the surviving member sets.
 
 from __future__ import annotations
 
-from .core import Bundle, Poset, RankPolynomial, RowAB, to_mask
+from .core import Bundle, Poset, RankPolynomial, RowAB, binomial_row, poly_mul, to_mask
 
 
 def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
@@ -110,11 +110,10 @@ def cardinality_poly(r: RowAB) -> RankPolynomial:
     positions, (1+x)^m + x^(m+1): premise out with the conclusion free, or
     all m+1 positions in.  Coefficient k counts the k-element members.
     """
-    poly = RankPolynomial.binomial(r.twos_mask.bit_count()).shifted(r.ones_mask.bit_count())
+    coeffs = [0] * r.ones_mask.bit_count() + binomial_row(r.twos_mask.bit_count())
     for b in r.bundles:
-        m = b.conc_mask.bit_count()
-        poly = poly * (RankPolynomial.binomial(m) + RankPolynomial.one().shifted(m + 1))
-    return poly
+        coeffs = poly_mul(coeffs, binomial_row(b.conc_mask.bit_count()) + [1])
+    return RankPolynomial(coeffs)
 
 
 def rows_poly(rows) -> RankPolynomial:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +21,9 @@ class InputError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """Instance too large for a requested brute-force code path."""
+    """Instance too large for a requested code path: a brute-force
+    reference, or a subtree implication base (`subtrees.tree_base`) longer
+    than `subtrees.TREE_BASE_MAX_LENGTH`."""
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +666,32 @@ class Tree:
 # ---------------------------------------------------------------------------
 # rank polynomials
 
+def binomial_row(n: int) -> list[int]:
+    """Coefficients of (1 + x)^n."""
+    return [math.comb(n, k) for k in range(n + 1)]
+
+
+def poly_add(a, b, shift: int = 0) -> list[int]:
+    """Coefficients of a + x^shift * b, for coefficient sequences a and b."""
+    out = list(a)
+    out += [0] * (len(b) + shift - len(out))
+    for i, c in enumerate(b, shift):
+        out[i] += c
+    return out
+
+
+def poly_mul(a, b) -> list[int]:
+    """Coefficients of a * b, for coefficient sequences a and b."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
 @dataclass(frozen=True)
 class RankPolynomial:
     """A polynomial with nonnegative arbitrary-precision integer coefficients,
@@ -689,11 +718,8 @@ class RankPolynomial:
 
     @classmethod
     def binomial(cls, n: int) -> "RankPolynomial":
-        """(1 + x)^n via the Pascal row."""
-        row = [1]
-        for _ in range(n):
-            row = [a + b for a, b in zip([0] + row, row + [0])]
-        return cls(tuple(row))
+        """(1 + x)^n."""
+        return cls(binomial_row(n))
 
     @property
     def degree(self) -> int:
@@ -710,8 +736,6 @@ class RankPolynomial:
 
     def shifted(self, n: int) -> "RankPolynomial":
         """Multiply by x^n."""
-        if not self.coefficients:
-            return self
         return RankPolynomial((0,) * n + self.coefficients)
 
     def evaluate(self, x: int) -> int:
@@ -721,24 +745,10 @@ class RankPolynomial:
         return acc
 
     def __add__(self, other: "RankPolynomial") -> "RankPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RankPolynomial(tuple(out))
+        return RankPolynomial(poly_add(self.coefficients, other.coefficients))
 
     def __mul__(self, other: "RankPolynomial") -> "RankPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return RankPolynomial.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RankPolynomial(tuple(out))
+        return RankPolynomial(poly_mul(self.coefficients, other.coefficients))
 
     def __repr__(self):
         return f"RankPolynomial{self.coefficients}"

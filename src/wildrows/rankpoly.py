@@ -9,25 +9,16 @@ compact-row method, which it cross-checks.
 
 from __future__ import annotations
 
-from .core import Poset, RankPolynomial, bit_positions
-
-
-def _strict_down(p: Poset) -> list[int]:
-    return [m & ~(1 << (e - 1)) if e else 0 for e, m in enumerate(p.down_masks)]
-
-
-def _is_antichain(subset: int, sdown: list[int]) -> bool:
-    for e in bit_positions(subset):
-        if sdown[e] & subset:
-            return False
-    return True
+from .core import Poset, RankPolynomial, binomial_row, poly_add
 
 
 def _pivot(subset: int, p: Poset) -> int:
     """Element of the subset maximizing |down| + |up| within the subset;
-    ties go to the earliest linear-extension label."""
+    ties go to the earliest linear-extension label.  0 when the subset is an
+    antichain: every element then scores exactly 2 (itself, in both sets),
+    and any element of a comparable pair scores more."""
     down, up = p.down_masks, p.up_masks
-    best, best_score = 0, -1
+    best, best_score = 0, 2
     for e in p.linext:
         if subset >> (e - 1) & 1:
             score = (down[e] & subset).bit_count() + (up[e] & subset).bit_count()
@@ -39,10 +30,10 @@ def _pivot(subset: int, p: Poset) -> int:
 def pick_pivot(p: Poset) -> int:
     """Pivot of the full poset; rejects empty posets and antichains (the
     recursion handles those as base cases, no pivot is needed)."""
-    full = (1 << p.w) - 1
-    if p.w == 0 or _is_antichain(full, _strict_down(p)):
+    a = _pivot((1 << p.w) - 1, p)
+    if not a:
         raise ValueError("pivot undefined for empty posets and antichains")
-    return _pivot(full, p)
+    return a
 
 
 def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, int | None]:
@@ -53,29 +44,27 @@ def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, i
     None.
     """
     down, up = p.down_masks, p.up_masks
-    sdown = _strict_down(p)
-    cache: dict[int, RankPolynomial] | None = {} if memo else None
+    cache: dict[int, list[int]] | None = {} if memo else None
     # Explicit stack, so the depth never meets the interpreter's recursion
     # limit.  A task (subset, 0) evaluates the subset; (subset, a) combines
-    # the two results on top of `values` for pivot a.  Ideals avoiding a are
-    # evaluated first, as in the plain recursion.
-    values: list[tuple[RankPolynomial, int]] = []
+    # the two coefficient lists on top of `values` for pivot a.  Ideals
+    # avoiding a are evaluated first, as in the plain recursion.
+    values: list[tuple[list[int], int]] = []
     tasks = [((1 << p.w) - 1, 0)]
     while tasks:
         subset, a = tasks.pop()
         if a:
             above, n_plus = values.pop()
             without_a, n_minus = values.pop()
-            poly = without_a + above.shifted((down[a] & subset).bit_count())
+            poly = poly_add(without_a, above, (down[a] & subset).bit_count())
             if cache is not None:
                 cache[subset] = poly
             values.append((poly, n_minus + n_plus))
-        elif _is_antichain(subset, sdown):
-            values.append((RankPolynomial.binomial(subset.bit_count()), 1))
         elif cache is not None and subset in cache:
             values.append((cache[subset], 0))
-        else:
-            a = _pivot(subset, p)
+        elif a := _pivot(subset, p):
             tasks += [(subset, a), (subset & ~down[a], 0), (subset & ~up[a], 0)]
+        else:
+            values.append((binomial_row(subset.bit_count()), 1))
     poly, nsum = values.pop()
-    return poly, (None if memo else nsum)
+    return RankPolynomial(poly), (None if memo else nsum)

@@ -8,8 +8,12 @@ forbidden-vertex-free forest.
 
 from __future__ import annotations
 
-from .core import Implication, ImplicationFamily, Tree, bit_positions, from_mask, to_mask
+from .core import GuardError, Implication, ImplicationFamily, Tree, bit_positions, from_mask, to_mask
 from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
+
+# Largest total written length tree_base will build: its frozenset
+# implications take about 110 bytes per element, so this is about 450 MB.
+TREE_BASE_MAX_LENGTH = 4_000_000
 
 
 def _paths_from(t: Tree, root: int) -> list[int]:
@@ -27,14 +31,46 @@ def _paths_from(t: Tree, root: int) -> list[int]:
     return parent
 
 
+def _base_length(t: Tree) -> int:
+    """Total written length of tree_base(t), in O(w) and without building it.
+
+    A non-adjacent pair at distance d contributes its 2 endpoints and d-1
+    interior vertices.  Summed over all pairs the distances give the Wiener
+    index W, so the length is W + C(w,2) - 2(w-1); W sums s(w-s) over the
+    edges, s being the vertex count on one side.
+    """
+    w = t.w
+    parent = [0] * (w + 1)
+    order = [1]
+    for u in order:  # breadth-first; the list grows while it is read
+        for v in t.adjacency[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    size = [1] * (w + 1)
+    wiener = 0
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+        wiener += size[v] * (w - size[v])
+    return wiener + w * (w - 1) // 2 - 2 * (w - 1)
+
+
 def tree_base(t: Tree) -> ImplicationFamily:
     """One implication per unordered non-adjacent vertex pair: the pair
     implies the interior of its unique path.
 
     Ordered by path length descending (long paths prune earliest), ties by
     the (smaller, larger) endpoint pair; a two-vertex tree yields the empty
-    family.
+    family.  Raises GuardError, before building anything, when the family's
+    total length would exceed TREE_BASE_MAX_LENGTH: it grows with the square
+    of w or faster (cubically on a path).
     """
+    length = _base_length(t)
+    if length > TREE_BASE_MAX_LENGTH:
+        raise GuardError(
+            f"tree base too large: {length} elements for w={t.w}, "
+            f"limit {TREE_BASE_MAX_LENGTH}"
+        )
     entries = []
     for a in t.vertices:
         parent = _paths_from(t, a)

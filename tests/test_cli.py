@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -278,3 +279,16 @@ def test_import_loads_neither_numpy_nor_process_pools():
     done = run_cold("-c", "import sys, wildrows, wildrows.cli; "
                     "print(sorted({'numpy', 'concurrent.futures.process'} & set(sys.modules)))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_subtrees_refuses_oversized_tree_base(tmp_path):
+    # a 4096-path passes the universe limit, but its subtree base would
+    # hold about 1.1e10 elements: refused before it is built
+    path = tmp_path / "path.tree"
+    path.write_text(format_tree(Tree.path_graph(MAX_UNIVERSE)))
+    started = time.perf_counter()
+    done = run_cold("-m", "wildrows", "subtrees", str(path), "--k", "2")
+    assert time.perf_counter() - started < 20
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error: tree base too large")
+    assert "Traceback" not in done.stderr

@@ -1,7 +1,10 @@
 import itertools
 import math
 
+import pytest
+
 from wildrows import (
+    GuardError,
     Implication,
     SplitMix64,
     Tree,
@@ -15,7 +18,8 @@ from wildrows import (
     subtree_oracle,
     tree_base,
 )
-from wildrows.subtrees import steiner_closure_mask
+from wildrows import subtrees
+from wildrows.subtrees import TREE_BASE_MAX_LENGTH, _base_length, steiner_closure_mask
 
 
 def sets_of(iterable):
@@ -187,3 +191,30 @@ def test_subtree_counts_sum_to_dp_total():
         t = gen_random_tree(w, rng.next_u64())
         total = sum(enumerate_k_subtrees(t, k).count(k) for k in range(w + 1))
         assert total == subtree_count(t)
+
+
+def test_tree_base_length_formula():
+    # W + C(w,2) - 2(w-1), W the Wiener index, against the built family
+    rng = SplitMix64(107)
+    trees = [Tree(1, []), Tree(2, [(1, 2)]), Tree.path_graph(3), Tree.path_graph(40),
+             Tree.star(3), Tree.star(30)]
+    trees += [gen_random_tree(w, rng.next_u64()) for w in (3, 4, 7, 12, 25, 50, 80)]
+    for t in trees:
+        assert _base_length(t) == tree_base(t).total_length
+
+
+def test_tree_base_refuses_oversized_base(monkeypatch):
+    assert _base_length(Tree.path_graph(100)) == 171402
+    small = gen_random_tree(20, 5)
+    monkeypatch.setattr(subtrees, "TREE_BASE_MAX_LENGTH", _base_length(small))
+    assert tree_base(small).total_length == subtrees.TREE_BASE_MAX_LENGTH
+    monkeypatch.setattr(subtrees, "TREE_BASE_MAX_LENGTH", _base_length(small) - 1)
+    with pytest.raises(GuardError):
+        tree_base(small)
+    monkeypatch.undo()
+    t = Tree.path_graph(4096)
+    assert _base_length(t) > TREE_BASE_MAX_LENGTH
+    with pytest.raises(GuardError):
+        tree_base(t)
+    with pytest.raises(GuardError):
+        enumerate_k_subtrees(t, 2)
