@@ -9,6 +9,7 @@ platform and Python version.
 from __future__ import annotations
 
 import heapq
+import os
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -56,8 +57,8 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"below() needs a bound in 1..2**64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()
@@ -236,19 +237,10 @@ def brute_models(family: ImplicationFamily) -> list[frozenset[int]]:
 def subtree_count(t: Tree) -> int:
     """Total subtree count (empty set included) by rooted dynamic
     programming: independent of any enumeration."""
-    root = 1
-    parent = [0] * (t.w + 1)
-    order = [root]
-    parent[root] = root
-    for u in order:
-        for v in t.adjacency[u]:
-            if parent[v] == 0 and v != root:
-                parent[v] = u
-                order.append(v)
+    parent = t.bfs_parent
     per_vertex = [1] * (t.w + 1)  # subtrees rooted at v within v's branch
-    for u in reversed(order):
-        if u != root:
-            per_vertex[parent[u]] *= 1 + per_vertex[u]
+    for u in reversed(t.bfs_order[1:]):
+        per_vertex[parent[u]] *= 1 + per_vertex[u]
     return sum(per_vertex[1:]) + 1
 
 
@@ -336,12 +328,14 @@ def run_bench(specs, workers: int = 1, timeout_s: float | None = None) -> BenchR
     """Run both methods on each instance and report timings plus agreement.
 
     Instances are independent; workers > 1 spreads them over processes
-    (per-instance timing stays single-threaded).  A timeout only flags the
-    row, it never aborts the run.
+    (per-instance timing stays single-threaded), at most one per instance
+    and per core, since a fork-based pool starts all its workers at once.
+    A timeout only flags the row, it never aborts the run.
     """
     specs = list(specs)
     _warmup()
-    if workers > 1 and len(specs) > 1:
+    workers = min(workers, len(specs), os.cpu_count() or 1)
+    if workers > 1:
         # imported here so that plain CLI starts do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

@@ -601,7 +601,11 @@ def _first_cycle_pair(succ: list[int], nodes: list[int]) -> tuple[int, int]:
 class Tree:
     """An undirected tree on vertices 1..w (connected, acyclic, w-1 edges).
 
-    Immutable after construction.
+    Immutable after construction.  Rooted at vertex 1 by the breadth-first
+    search that checks connectivity: `bfs_order` lists the vertices in that
+    order (root first, neighbours ascending), `bfs_parent[v]` is v's parent
+    (0 for the root and at index 0).  Every rooted computation on the tree
+    reads these two.
     """
 
     def __init__(self, w: int, edges: Iterable[tuple[int, int]]):
@@ -625,17 +629,19 @@ class Tree:
             adj[v].append(u)
         self.adjacency = tuple(tuple(sorted(ns)) for ns in adj)
         self.neighbor_masks = [to_mask(ns) for ns in self.adjacency]
-        # connectivity: BFS from vertex 1 must reach everything
-        seen = {1}
-        queue = [1]
-        while queue:
-            u = queue.pop()
+        # connectivity: BFS from vertex 1 must reach everything; the visited
+        # test also stops on w-1 edges that close a cycle
+        parent = [0] * (w + 1)
+        order = [1]
+        for u in order:  # the list grows while it is read
             for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != w:
+                if v != 1 and not parent[v]:
+                    parent[v] = u
+                    order.append(v)
+        if len(order) != w:
             raise InputError("tree edges do not connect all vertices")
+        self.bfs_order = tuple(order)
+        self.bfs_parent = tuple(parent)
 
     @property
     def vertices(self) -> range:

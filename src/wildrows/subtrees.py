@@ -2,8 +2,11 @@
 
 A vertex set is a model exactly when it is connected (the empty set and
 singletons included): any two non-adjacent members force the interior of
-their unique path.  The feasibility oracle needs a single traversal of the
-forbidden-vertex-free forest.
+their unique path.  All tree paths come from one table of root-path masks,
+read off the tree's breadth-first traversal from vertex 1 (`Tree.bfs_order`,
+`Tree.bfs_parent`): a base implication's interior is a few mask operations,
+and a Steiner closure takes O(|seed|) of them.  The feasibility oracle needs
+a single traversal of the forbidden-vertex-free forest.
 """
 
 from __future__ import annotations
@@ -16,19 +19,20 @@ from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
 TREE_BASE_MAX_LENGTH = 4_000_000
 
 
-def _paths_from(t: Tree, root: int) -> list[int]:
-    """Parent pointers of a BFS tree rooted at `root` (0 for the root)."""
-    parent = [0] * (t.w + 1)
-    parent[root] = root
-    queue = [root]
-    while queue:
-        u = queue.pop()
-        for v in t.adjacency[u]:
-            if parent[v] == 0 and v != root:
-                parent[v] = u
-                queue.append(v)
-    parent[root] = 0
-    return parent
+def _path_table(t: Tree) -> tuple[list[int], dict[int, int]]:
+    """Path masks of t rooted at vertex 1.
+
+    up[v] is the mask of the path from vertex 1 to v, and tip[up[v]] is the
+    bit of v.  The path from a to b is then up[a] ^ up[b] | tip[up[a] & up[b]]:
+    the common part is the path from the root to the lowest common ancestor
+    of a and b, and tip puts that ancestor back.
+    """
+    up = [0] * (t.w + 1)
+    tip = {}
+    for v in t.bfs_order:
+        up[v] = up[t.bfs_parent[v]] | 1 << (v - 1)
+        tip[up[v]] = 1 << (v - 1)
+    return up, tip
 
 
 def _base_length(t: Tree) -> int:
@@ -40,16 +44,10 @@ def _base_length(t: Tree) -> int:
     edges, s being the vertex count on one side.
     """
     w = t.w
-    parent = [0] * (w + 1)
-    order = [1]
-    for u in order:  # breadth-first; the list grows while it is read
-        for v in t.adjacency[u]:
-            if v != parent[u]:
-                parent[v] = u
-                order.append(v)
+    parent = t.bfs_parent
     size = [1] * (w + 1)
     wiener = 0
-    for v in reversed(order[1:]):
+    for v in reversed(t.bfs_order[1:]):
         size[parent[v]] += size[v]
         wiener += size[v] * (w - size[v])
     return wiener + w * (w - 1) // 2 - 2 * (w - 1)
@@ -71,18 +69,15 @@ def tree_base(t: Tree) -> ImplicationFamily:
             f"tree base too large: {length} elements for w={t.w}, "
             f"limit {TREE_BASE_MAX_LENGTH}"
         )
+    up, tip = _path_table(t)
     entries = []
     for a in t.vertices:
-        parent = _paths_from(t, a)
         for b in range(a + 1, t.w + 1):
             if b in t.adjacency[a]:
                 continue
-            interior = []
-            v = parent[b]
-            while v != a:
-                interior.append(v)
-                v = parent[v]
-            entries.append((-len(interior), a, b, frozenset(interior)))
+            ends = 1 << (a - 1) | 1 << (b - 1)
+            interior = (up[a] ^ up[b] | tip[up[a] & up[b]]) & ~ends
+            entries.append((-interior.bit_count(), a, b, from_mask(interior)))
     entries.sort(key=lambda e: e[:3])
     imps = tuple(Implication(frozenset([a, b]), interior) for _, a, b, interior in entries)
     return ImplicationFamily(t.w, imps)
@@ -91,32 +86,23 @@ def tree_base(t: Tree) -> ImplicationFamily:
 def steiner_closure_mask(t: Tree):
     """Mask-level minimal-spanning-subtree closure.
 
-    Iteratively prunes leaves outside the seed; what survives is the smallest
-    subtree containing the seed.  O(w) per call; agrees with forward chaining
-    on tree_base(t).
+    The union of the seed's root paths is the subtree spanning vertex 1 and
+    the seed; their intersection is the path from vertex 1 to the seed's
+    lowest common ancestor.  Dropping that path, but keeping the ancestor,
+    leaves the smallest subtree containing the seed.  O(|seed|) mask
+    operations per call; agrees with forward chaining on tree_base(t).
     """
-    adjacency = t.adjacency
-    base_deg = [len(ns) for ns in adjacency]
-    full = (1 << t.w) - 1
+    up, tip = _path_table(t)
 
     def close_mask(seed: int) -> int:
         if not seed:
             return 0
-        cur = full
-        deg = base_deg.copy()
-        queue = [v for v in t.vertices if deg[v] <= 1 and not seed >> (v - 1) & 1]
-        while queue:
-            v = queue.pop()
-            bit = 1 << (v - 1)
-            if not cur & bit:
-                continue
-            cur ^= bit
-            for u in adjacency[v]:
-                if cur >> (u - 1) & 1:
-                    deg[u] -= 1
-                    if deg[u] <= 1 and not seed >> (u - 1) & 1:
-                        queue.append(u)
-        return cur
+        union = 0
+        common = -1
+        for v in bit_positions(seed):
+            union |= up[v]
+            common &= up[v]
+        return union & ~common | tip[common]
 
     return close_mask
 

@@ -50,6 +50,11 @@ def test_splitmix64_bounded_draws():
     assert set(draws) <= set(range(7)) and len(set(draws)) == 7
     with pytest.raises(ValueError):
         rng.below(0)
+    # bounds above 2**64 used to reject every draw and never return
+    for n in ((1 << 64) + 1, 1 << 80):
+        with pytest.raises(ValueError):
+            rng.below(n)
+    assert SplitMix64(5).below(1 << 64) == SplitMix64(5).next_u64()
 
 
 def test_splitmix64_sample_without_replacement():
@@ -208,3 +213,40 @@ def test_run_bench_parallel_smoke():
     parallel = run_bench(specs, workers=2)
     assert [r.n for r in serial.rows] == [r.n for r in parallel.rows]
     assert parallel.all_agree()
+
+
+def test_run_bench_caps_worker_count(monkeypatch):
+    # a fork pool starts every worker up front: never ask for more than the
+    # instances or the cores can use (a fake pool, so no process starts)
+    import concurrent.futures
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    specs = [LayeredSpec(2, 2, 1, seed=s) for s in range(6)]
+
+    def untimed(report):
+        return [(r.spec, r.n, r.r, r.nsum, r.agree, r.timed_out) for r in report.rows]
+
+    serial = untimed(run_bench(specs))
+    assert untimed(run_bench(specs, workers=100_000)) == serial
+    assert untimed(run_bench(specs[:3], workers=100_000)) == serial[:3]
+    assert untimed(run_bench(specs, workers=2)) == serial
+    assert asked == [4, 3, 2]
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert untimed(run_bench(specs, workers=100_000)) == serial
+    assert asked == [4, 3, 2]

@@ -252,12 +252,19 @@ def test_tree_validation():
         Tree(3, [(1, 2), (3, 3)])  # self-loop
     with pytest.raises(InputError):
         Tree(4, [(1, 2), (3, 4), (1, 2)])  # disconnected (and duplicated)
+    # w-1 distinct edges that close a cycle leave a vertex unreached
+    for edges in ([(1, 2), (2, 3), (1, 3)], [(2, 3), (3, 4), (2, 4)]):
+        with pytest.raises(InputError, match="do not connect"):
+            Tree(4, edges)
 
 
 def test_tree_adjacency():
     t = Tree.star(4)
     assert t.neighbors(1) == (2, 3, 4)
     assert t.degree(3) == 1
+    t = Tree(5, [(4, 3), (3, 1), (2, 3), (5, 1)])
+    assert t.bfs_order == (1, 3, 5, 2, 4)
+    assert t.bfs_parent == (0, 0, 3, 1, 3, 1)
     assert Tree.path_graph(3).edges == ((1, 2), (2, 3))
 
 

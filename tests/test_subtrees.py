@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -99,13 +100,19 @@ def test_steiner_closure_examples():
 
 def test_steiner_closure_matches_forward_chaining():
     rng = SplitMix64(107)
-    for _ in range(15):
-        w = 1 + rng.below(9)
-        t = gen_random_tree(w, rng.next_u64())
+    trees = [gen_random_tree(1 + rng.below(9), rng.next_u64()) for _ in range(15)]
+    trees += [gen_random_tree(w, rng.next_u64()) for w in (12, 20, 27, 33, 40)]
+    trees += [Tree.path_graph(w) for w in (1, 2, 5, 17)] + [Tree.star(w) for w in (2, 3, 6, 17)]
+    # vertex 1, the root of the path masks, in the middle and at a leaf
+    trees += [Tree(6, [(3, 1), (1, 5), (3, 2), (5, 4), (4, 6)]), Tree(4, [(2, 1), (2, 3), (3, 4)])]
+    for t in trees:
+        w = t.w
         fam = tree_base(t)
         fast = steiner_closure_mask(t)
-        for _ in range(6):
-            seed = rng.sample(range(1, w + 1), rng.below(w + 1))
+        seeds = [[], list(t.vertices)] + [[v] for v in t.vertices]
+        seeds += [rng.sample(range(1, w + 1), size) for size in range(w + 1)]
+        seeds += [rng.sample(range(1, w + 1), rng.below(w + 1)) for _ in range(6)]
+        for seed in seeds:
             expect = close(seed, fam)
             assert steiner_closure(t, seed) == expect
             assert fast(sum(1 << (e - 1) for e in seed)) == sum(1 << (e - 1) for e in expect)
@@ -218,3 +225,41 @@ def test_tree_base_refuses_oversized_base(monkeypatch):
         tree_base(t)
     with pytest.raises(GuardError):
         enumerate_k_subtrees(t, 2)
+
+
+# (implication count, sha256 prefix of the implications in order), recorded
+# before tree_base moved to path masks: family order and members are part of
+# the engine's determinism contract
+TREE_BASE_GOLDEN = {
+    ("random", 2, 1): (0, "e3b0c44298fc1c14"),
+    ("random", 3, 2): (1, "2f412f642327848d"),
+    ("random", 10, 3): (36, "57288471de514fd5"),
+    ("random", 10, 4): (36, "4aea26f143942302"),
+    ("random", 30, 5): (406, "78ced3a37bd8b3f6"),
+    ("random", 30, 6): (406, "156c6a743ea85e68"),
+    ("random", 48, 7): (1081, "e26d3272ad71691c"),
+    ("random", 48, 8): (1081, "41a7056836bf0458"),
+    ("path", 1): (0, "e3b0c44298fc1c14"),
+    ("path", 2): (0, "e3b0c44298fc1c14"),
+    ("path", 10): (36, "abe208c0399d5f7d"),
+    ("path", 30): (406, "db8667e8947dc1cb"),
+    ("star", 1): (0, "e3b0c44298fc1c14"),
+    ("star", 3): (1, "1695b972680e5c8a"),
+    ("star", 10): (36, "1c15744028b1c6c4"),
+    ("star", 30): (406, "12f54d64b4752063"),
+}
+
+
+@pytest.mark.parametrize("key", list(TREE_BASE_GOLDEN), ids=lambda key: "-".join(map(str, key)))
+def test_tree_base_golden(key):
+    kind, w = key[:2]
+    if kind == "random":
+        t = gen_random_tree(w, key[2])
+    else:
+        t = Tree.path_graph(w) if kind == "path" else Tree.star(w)
+    fam = tree_base(t)
+    text = "\n".join(
+        " ".join(map(str, sorted(imp.premise))) + " -> " + " ".join(map(str, sorted(imp.conclusion)))
+        for imp in fam
+    )
+    assert (fam.h, hashlib.sha256(text.encode()).hexdigest()[:16]) == TREE_BASE_GOLDEN[key]
