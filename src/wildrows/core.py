@@ -23,7 +23,7 @@ class InputError(ValueError):
 class GuardError(RuntimeError):
     """Instance too large for a requested code path: a brute-force
     reference, or a subtree implication base (`subtrees.tree_base`) longer
-    than `subtrees.TREE_BASE_MAX_LENGTH`."""
+    than `subtrees.TREE_BASE_MAX_LENGTH` elements (2.9-82 B each to build)."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,47 +80,67 @@ class Implication:
         return f"{p}->{c}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ImplicationFamily:
     """An ordered list of implications over the universe 1..w.
 
     Order matters: the enumeration engines impose members in list order, and
-    the produced row stacks depend on it deterministically.
+    the produced row stacks depend on it deterministically.  The family
+    stores one (premise_mask, conclusion_mask) pair per implication, and
+    equality compares these; the Implication objects are built on access.
     """
 
     w: int
-    implications: tuple[Implication, ...]
+    masks: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "implications", tuple(self.implications))
-        if self.w < 0:
-            raise InputError(f"universe size must be nonnegative, got {self.w}")
-        for imp in self.implications:
+    def __init__(self, w: int, implications: Iterable[Implication]):
+        if w < 0:
+            raise InputError(f"universe size must be nonnegative, got {w}")
+        masks = []
+        for imp in implications:
+            # checked before to_mask, which fails on element 0 or a negative one
             for e in itertools.chain(imp.premise, imp.conclusion):
-                if not 1 <= e <= self.w:
-                    raise InputError(f"element {e} outside universe 1..{self.w}")
+                if not 1 <= e <= w:
+                    raise InputError(f"element {e} outside universe 1..{w}")
+            masks.append((to_mask(imp.premise), to_mask(imp.conclusion)))
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "masks", tuple(masks))
+
+    @classmethod
+    def from_masks(cls, w: int, masks: Iterable[tuple[int, int]]) -> "ImplicationFamily":
+        """The family of (premise_mask, conclusion_mask) pairs, for code-built
+        bases; each conclusion is normalized to exclude its premise."""
+        family = cls(w, ())
+        pairs = tuple((prem, conc & ~prem) for prem, conc in masks)
+        for prem, conc in pairs:
+            if (prem | conc) >> w:
+                raise InputError(f"element {(prem | conc).bit_length()} outside universe 1..{w}")
+        object.__setattr__(family, "masks", pairs)
+        return family
+
+    @cached_property
+    def implications(self) -> tuple[Implication, ...]:
+        return tuple(Implication(from_mask(p), from_mask(c)) for p, c in self.masks)
 
     @property
     def h(self) -> int:
-        return len(self.implications)
+        return len(self.masks)
 
     @property
     def total_length(self) -> int:
-        return sum(imp.length for imp in self.implications)
-
-    @cached_property
-    def masks(self) -> tuple[tuple[int, int], ...]:
-        """(premise_mask, conclusion_mask) per implication, in family order."""
-        return tuple((to_mask(i.premise), to_mask(i.conclusion)) for i in self.implications)
+        return sum((p | c).bit_count() for p, c in self.masks)
 
     def __len__(self):
-        return len(self.implications)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.implications)
 
     def __getitem__(self, i):
         return self.implications[i]
+
+    def __repr__(self):
+        return f"ImplicationFamily(w={self.w}, implications={self.implications!r})"
 
 
 # ---------------------------------------------------------------------------

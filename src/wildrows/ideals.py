@@ -9,7 +9,7 @@ realized.
 
 from __future__ import annotations
 
-from .core import Implication, ImplicationFamily, Poset, bit_positions, to_mask
+from .core import ImplicationFamily, Poset, bit_positions, to_mask
 from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
 
 
@@ -20,8 +20,7 @@ def natural_base(p: Poset) -> ImplicationFamily:
     Implications are ordered by the poset's linear extension, which downstream
     engines rely on for determinism.
     """
-    imps = tuple(Implication(frozenset([q]), p.lower_covers(q)) for q in p.linext)
-    return ImplicationFamily(p.w, imps)
+    return ImplicationFamily.from_masks(p.w, ((1 << (q - 1), p.lower_cover_masks[q]) for q in p.linext))
 
 
 def down_closure_mask(p: Poset):

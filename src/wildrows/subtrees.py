@@ -11,11 +11,12 @@ a single traversal of the forbidden-vertex-free forest.
 
 from __future__ import annotations
 
-from .core import GuardError, Implication, ImplicationFamily, Tree, bit_positions, from_mask, to_mask
+from .core import GuardError, ImplicationFamily, Tree, bit_positions, from_mask, to_mask
 from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
 
-# Largest total written length tree_base will build: its frozenset
-# implications take about 110 bytes per element, so this is about 450 MB.
+# Largest total written length tree_base will build.  Building it peaks
+# (tracemalloc, CPython 3.11) at 2.9 bytes per element on the 287-vertex path
+# (12 MB), 15 on a random tree with w=500 (47 MB), 64-82 on stars, w=400-1000.
 TREE_BASE_MAX_LENGTH = 4_000_000
 
 
@@ -70,17 +71,16 @@ def tree_base(t: Tree) -> ImplicationFamily:
             f"limit {TREE_BASE_MAX_LENGTH}"
         )
     up, tip = _path_table(t)
-    entries = []
+    pairs = []
     for a in t.vertices:
         for b in range(a + 1, t.w + 1):
-            if b in t.adjacency[a]:
+            if t.neighbor_masks[a] >> (b - 1) & 1:
                 continue
             ends = 1 << (a - 1) | 1 << (b - 1)
-            interior = (up[a] ^ up[b] | tip[up[a] & up[b]]) & ~ends
-            entries.append((-interior.bit_count(), a, b, from_mask(interior)))
-    entries.sort(key=lambda e: e[:3])
-    imps = tuple(Implication(frozenset([a, b]), interior) for _, a, b, interior in entries)
-    return ImplicationFamily(t.w, imps)
+            pairs.append((ends, (up[a] ^ up[b] | tip[up[a] & up[b]]) & ~ends))
+    # stable, also in reverse: equal lengths keep their (a, b) order
+    pairs.sort(key=lambda pair: pair[1].bit_count(), reverse=True)
+    return ImplicationFamily.from_masks(t.w, pairs)
 
 
 def steiner_closure_mask(t: Tree):

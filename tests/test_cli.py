@@ -275,6 +275,14 @@ def test_gen_rejects_universe_beyond_max(capsys):
     assert run(capsys, "gen", "poset", "--m", "65", "--l", "64", "--t", "1", "--seed", "1")[0] == 2
 
 
+@pytest.mark.parametrize("line, element", [("0 -> 1", 0), ("1 -> 0", 0), ("-2 -> 1", -2), ("1 -> 2 4", 4)])
+def test_models_rejects_element_outside_universe(tmp_path, line, element):
+    family = tmp_path / "bad.imp"
+    family.write_text(f"imp 3\n{line}\n")
+    done = run_cold("-m", "wildrows", "models", str(family))
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: element {element} outside universe 1..3\n")
+
+
 def test_import_loads_neither_numpy_nor_process_pools():
     done = run_cold("-c", "import sys, wildrows, wildrows.cli; "
                     "print(sorted({'numpy', 'concurrent.futures.process'} & set(sys.modules)))")

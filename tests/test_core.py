@@ -187,6 +187,23 @@ def test_implication_empty_conclusion_ok():
 def test_family_validates_universe():
     with pytest.raises(InputError):
         ImplicationFamily(3, [Implication({4}, {1})])
+    # every bad element is refused as input, in a premise and in a conclusion,
+    # and before any shift (element 0 or a negative one would shift by < 0)
+    for e in (0, -2, 4):
+        for imp in (Implication({e}, {1}), Implication({1}, {e}), Implication({2, e}, {1, 3})):
+            with pytest.raises(InputError) as bad:
+                ImplicationFamily(3, [Implication({1}, {2}), imp])
+            assert str(bad.value) == f"element {e} outside universe 1..3"
+    with pytest.raises(InputError) as bad:
+        ImplicationFamily.from_masks(3, [(0b001, 0b010), (0b1000, 0b001)])
+    assert str(bad.value) == "element 4 outside universe 1..3"
+    with pytest.raises(InputError) as bad:
+        ImplicationFamily.from_masks(3, [(0b001, 0b10010)])
+    assert str(bad.value) == "element 5 outside universe 1..3"
+    for build in (ImplicationFamily, ImplicationFamily.from_masks):
+        with pytest.raises(InputError) as bad:
+            build(-1, [])
+        assert str(bad.value) == "universe size must be nonnegative, got -1"
     fam = ImplicationFamily(7, [Implication({5}, {6, 7}), Implication({3}, {4, 5})])
     assert fam.h == 2
     assert fam.total_length == 3 + 3
