@@ -18,7 +18,8 @@ Sets print as "{e1,e2,...}" ascending, one per line; rows print in the row
 token format.  Exit codes: 0 success, 1 usage error, 2 malformed input file,
 3 guard violation (instance too large for a requested brute-force path, or
 a tree whose subtree implication base would hold more than
-subtrees.TREE_BASE_MAX_LENGTH elements).
+subtrees.TREE_BASE_MAX_LENGTH elements or exceed subtrees.TREE_BASE_MAX_CELLS
+in w*h, which refuses every tree with w > 646).
 """
 
 from __future__ import annotations

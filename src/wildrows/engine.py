@@ -8,6 +8,14 @@ the deletion-free fixed-cardinality variant: every candidate son is tested
 against a feasibility oracle before it may enter the stack, so no stacked
 row is ever discarded and the number of final rows never exceeds the number
 of k-element models.
+
+Most impositions on subtree bases are carry-overs: the row's zeros block the
+premise, or the conclusion is already forced, and the row goes on
+unchanged.  Each stacked row therefore carries a bitset of the pending
+implications whose premise still misses its zeros; a pop jumps over the
+blocked ones with `bit_length`, and a son that gains a zero drops the
+premises holding it in one AND.  Processing order, rows and counters are
+those of imposing every implication in turn.
 """
 
 from __future__ import annotations
@@ -43,8 +51,10 @@ BRUTE_ORACLE_MAX_W = 24
 class EngineStats:
     """Work counters of one run.
 
-    impositions counts every constraint imposed on a row; candidate_sons
-    only the rows produced by genuine splits (unchanged carry-overs are not
+    impositions counts every constraint imposed on a row, carry-overs
+    included: the loop jumps over premise-blocked carry-overs and adds them
+    arithmetically rather than visiting each.  candidate_sons counts only
+    the rows produced by genuine splits (unchanged carry-overs are not
     re-counted); killed_candidates the sons rejected by the feasibility
     test; wasteful_deletions the stacked rows discarded with no surviving
     member (always 0 in the deletion-free variant).
@@ -85,43 +95,62 @@ class FinalStack:
                 yield from row012_list_k(r, k)
 
 
-def _sons_masks(ones, twos, prem, conc, full):
-    """Candidate sons of the row (ones, twos) under premise/conclusion masks.
+def _split(ones, twos, prem, conc):
+    """Sons of the row (ones, twos) that the implication (prem, conc) splits:
+    its premise misses the row's zeros and its conclusion is not yet forced.
 
-    Returns None when the row carries over unchanged (premise blocked by a
-    zero, or conclusion already forced), otherwise the list of (ones, twos)
-    son rows in processing order: staircase rows over the free premise
-    positions ascending, then (when no conclusion position is zero) the row
-    with premise and conclusion forced to one.  An empty list means no member
-    survives the constraint.
+    Returns (ones, twos, e) triples in processing order, e being the element
+    the son turns to zero: staircase rows over the free premise positions
+    ascending, then (when no conclusion position is zero) the row with
+    premise and conclusion forced to one, with e = 0.  An empty list means
+    no member survives the constraint.
     """
-    zeros = full & ~(ones | twos)
-    if prem & zeros or not conc & ~ones:
-        return None
     sons = []
     seen = 0
     free = prem & twos
     while free:
         low = free & -free
-        sons.append((ones | seen, twos & ~(seen | low)))
+        sons.append((ones | seen, twos & ~(seen | low), low.bit_length()))
         seen |= low
         free ^= low
-    if not conc & zeros:
+    if not conc & ~(ones | twos):
         forced = prem | conc
-        sons.append((ones | forced, twos & ~forced))
+        sons.append((ones | forced, twos & ~forced, 0))
     return sons
 
 
 def candidate_sons(r: Row012, imp: Implication) -> list[Row012]:
     """Rows whose disjoint union is exactly the members of `r` satisfying
     `imp`; an empty list encodes deletion.  Sons carry pending advanced by
-    one; at most max(|premise|+1, 1) rows are returned."""
+    one; at most max(|premise|+1, 1) rows are returned.  A carry-over
+    (premise blocked by a zero, or conclusion already forced) returns the
+    row itself."""
     prem, conc = to_mask(imp.premise), to_mask(imp.conclusion)
-    full = (1 << r.w) - 1
-    sons = _sons_masks(r.ones_mask, r.twos_mask, prem, conc, full)
-    if sons is None:
-        return [Row012(r.w, r.ones_mask, r.twos_mask, r.pending + 1)]
-    return [Row012(r.w, o, t, r.pending + 1) for o, t in sons]
+    ones, twos = r.ones_mask, r.twos_mask
+    zeros = ((1 << r.w) - 1) & ~(ones | twos)
+    if prem & zeros or not conc & ~ones:
+        return [Row012(r.w, ones, twos, r.pending + 1)]
+    return [Row012(r.w, o, t, r.pending + 1) for o, t, _ in _split(ones, twos, prem, conc)]
+
+
+def _premise_table(w: int, masks) -> list[int]:
+    """table[e] is the bitset of the implication indices whose premise holds
+    element e (table[0] = 0).  Linear in the total premise length plus w*h/8
+    bytes: index lists, then one bytearray per element."""
+    holders = [[] for _ in range(w + 1)]
+    for i, (prem, _) in enumerate(masks):
+        while prem:
+            low = prem & -prem
+            holders[low.bit_length()].append(i)
+            prem ^= low
+    size = (len(masks) + 7) // 8
+    table = [0]
+    for indices in holders[1:]:
+        buf = bytearray(size)
+        for i in indices:
+            buf[i >> 3] |= 1 << (i & 7)
+        table.append(int.from_bytes(buf, "little"))
+    return table
 
 
 def _lifo(
@@ -129,40 +158,50 @@ def _lifo(
 ) -> FinalStack:
     """The LIFO exclusion loop of both enumerators.  `admit`, when given,
     vets each candidate son (ones, twos) before it may be stacked; None
-    admits every son."""
+    admits every son.
+
+    A stacked row is (ones, twos, pending, open): bit i-1 of open is set
+    while implication i is still pending (i >= pending) and its premise
+    misses the row's zeros.  A pop jumps over the premise-blocked
+    carry-overs with bit_length and tests only the conclusions of the open
+    implications, one by one.
+    """
     w, h = family.w, family.h
     masks = family.masks
-    full = (1 << w) - 1
-    stats = EngineStats()
+    out_prem = [~bits for bits in _premise_table(w, masks)]
+    impositions = candidates = killed = deletions = 0
     final = []
-    stack = [(0, full, 1)]
+    stack = [(0, (1 << w) - 1, 1, (1 << h) - 1)]
     while stack:
-        ones, twos, pending = stack.pop()
-        sons = None
-        while pending <= h:
+        ones, twos, start, open_ = stack.pop()
+        while open_:
+            low = open_ & -open_
+            open_ ^= low
+            pending = low.bit_length()
             prem, conc = masks[pending - 1]
-            stats.impositions += 1
-            sons = _sons_masks(ones, twos, prem, conc, full)
-            if sons is None:
-                pending += 1
-                continue
-            break
+            if conc & ~ones:
+                break
         else:
-            final.append(Row012(w, ones, twos, pending))
+            impositions += h - start + 1
+            final.append(Row012(w, ones, twos, h + 1))
             continue
-        stats.candidate_sons += len(sons)
+        impositions += pending - start + 1
+        sons = _split(ones, twos, prem, conc)
+        candidates += len(sons)
         if admit is not None:
-            proper = [son for son in sons if admit(*son)]
-            stats.killed_candidates += len(sons) - len(proper)
+            proper = [(o, t, e) for o, t, e in sons if admit(o, t)]
+            killed += len(sons) - len(proper)
             sons = proper
         if not sons:
             # no member survives; unreachable under a consistent feasibility
             # filter, since a feasible row keeps at least one son feasible
-            stats.wasteful_deletions += 1
+            deletions += 1
             continue
-        for o, t in reversed(sons):
-            stack.append((o, t, pending + 1))
-    stats.final_row_count = len(final)
+        # a staircase son gains the zero e, which blocks every premise holding
+        # e; the forced son (e = 0) keeps open as it is
+        for o, t, e in reversed(sons):
+            stack.append((o, t, pending + 1, open_ & out_prem[e]))
+    stats = EngineStats(impositions, candidates, killed, deletions, len(final))
     return FinalStack(tuple(final), stats)
 
 
@@ -195,6 +234,16 @@ def enumerate_k_models(
     `closure_mask` may supply a faster mask-level closure for the family
     (must agree with the generic forward chaining); by default the family's
     own chaining is used.
+
+    Output bounds, with N the number of k-element models, h = family.h and
+    p the largest premise size:
+
+    - final_row_count <= N, since every final row holds a k-element model;
+    - impositions <= final_row_count * h <= N * h: charge each stacked row
+      to its leftmost final descendant; the rows charged to one final row
+      lie on its path from the root, where every index is imposed once;
+    - candidate_sons <= (p + 1) * splits, a split being an imposition that
+      is not a carry-over: at most p staircase sons and one forced son.
     """
     w = family.w
     if not 0 <= k <= w:

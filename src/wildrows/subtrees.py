@@ -18,6 +18,13 @@ from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
 # (tracemalloc, CPython 3.11) at 2.9 bytes per element on the 287-vertex path
 # (12 MB), 15 on a random tree with w=500 (47 MB), 64-82 on stars, w=400-1000.
 TREE_BASE_MAX_LENGTH = 4_000_000
+# Largest w*h tree_base will build: the bit size of its premise masks and of
+# the engine's per-element premise table (w*h/8 bytes).  h = (w-1)(w-2)/2 on
+# every tree, so this refuses w > 646.  Building the base and the table peaks
+# (tracemalloc, CPython 3.11) at 0.31-1.0 bytes per unit: 12 MB on the
+# 287-vertex path, 48 MB on a random tree with w=500, 52 MB on the 646-star,
+# 65 MB on a depth-2 tree with w=646, 157 MB on the 1000-star (refused).
+TREE_BASE_MAX_CELLS = 1 << 27
 
 
 def _path_table(t: Tree) -> tuple[list[int], dict[int, int]]:
@@ -61,14 +68,21 @@ def tree_base(t: Tree) -> ImplicationFamily:
     Ordered by path length descending (long paths prune earliest), ties by
     the (smaller, larger) endpoint pair; a two-vertex tree yields the empty
     family.  Raises GuardError, before building anything, when the family's
-    total length would exceed TREE_BASE_MAX_LENGTH: it grows with the square
-    of w or faster (cubically on a path).
+    total length would exceed TREE_BASE_MAX_LENGTH (it grows with the square
+    of w or faster, cubically on a path), or w*h would exceed
+    TREE_BASE_MAX_CELLS.
     """
     length = _base_length(t)
     if length > TREE_BASE_MAX_LENGTH:
         raise GuardError(
             f"tree base too large: {length} elements for w={t.w}, "
             f"limit {TREE_BASE_MAX_LENGTH}"
+        )
+    cells = t.w * ((t.w - 1) * (t.w - 2) // 2)  # w*h: every non-adjacent pair
+    if cells > TREE_BASE_MAX_CELLS:
+        raise GuardError(
+            f"tree base too large: w*h = {cells} for w={t.w}, "
+            f"limit {TREE_BASE_MAX_CELLS}"
         )
     up, tip = _path_table(t)
     pairs = []

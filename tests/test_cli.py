@@ -300,3 +300,16 @@ def test_subtrees_refuses_oversized_tree_base(tmp_path):
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith("error: tree base too large")
     assert "Traceback" not in done.stderr
+
+
+def test_subtrees_refuses_wide_tree_base(tmp_path):
+    # a 1634-star passes the length guard (about 4.0e6 elements), but w*h
+    # would size a 2.2e9-bit premise table: refused before it is built
+    path = tmp_path / "star.tree"
+    path.write_text(format_tree(Tree.star(1634)))
+    started = time.perf_counter()
+    done = run_cold("-m", "wildrows", "subtrees", str(path), "--k", "2")
+    assert time.perf_counter() - started < 20
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "error: tree base too large: w*h = 2177350752 for w=1634, limit 134217728\n"
+    )

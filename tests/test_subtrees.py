@@ -20,7 +20,7 @@ from wildrows import (
     tree_base,
 )
 from wildrows import subtrees
-from wildrows.subtrees import TREE_BASE_MAX_LENGTH, _base_length, steiner_closure_mask
+from wildrows.subtrees import TREE_BASE_MAX_CELLS, TREE_BASE_MAX_LENGTH, _base_length, steiner_closure_mask
 
 
 def sets_of(iterable):
@@ -225,6 +225,45 @@ def test_tree_base_refuses_oversized_base(monkeypatch):
         tree_base(t)
     with pytest.raises(GuardError):
         enumerate_k_subtrees(t, 2)
+
+
+def test_tree_base_refuses_wide_base(monkeypatch):
+    # w*h sizes the premise masks and the engine's premise table
+    small = gen_random_tree(20, 5)
+    cells = small.w * tree_base(small).h
+    monkeypatch.setattr(subtrees, "TREE_BASE_MAX_CELLS", cells)
+    assert tree_base(small).h == 171
+    monkeypatch.setattr(subtrees, "TREE_BASE_MAX_CELLS", cells - 1)
+    with pytest.raises(GuardError, match=rf"^tree base too large: w\*h = {cells} for w=20, limit {cells - 1}$"):
+        tree_base(small)
+    monkeypatch.undo()
+
+    class Accepted(Exception):
+        pass
+
+    def stop(t):
+        raise Accepted
+
+    def passes_guards(t):
+        # the guards run before the path table: reaching it means accepted
+        with monkeypatch.context() as m:
+            m.setattr(subtrees, "_path_table", stop)
+            try:
+                tree_base(t)
+            except Accepted:
+                return True
+            except GuardError:
+                return False
+
+    assert passes_guards(Tree.path_graph(287)) and not passes_guards(Tree.path_graph(288))
+    assert passes_guards(gen_random_tree(500, 3))
+    assert 646 * (645 * 644 // 2) <= TREE_BASE_MAX_CELLS < 647 * (646 * 645 // 2)
+    assert passes_guards(Tree.star(646)) and not passes_guards(Tree.star(647))
+    star = Tree.star(1634)
+    assert _base_length(star) <= TREE_BASE_MAX_LENGTH  # only the new guard refuses it
+    assert not passes_guards(star)
+    with pytest.raises(GuardError, match=r"w\*h = 2177350752 for w=1634"):
+        enumerate_k_subtrees(star, 2)
 
 
 # (implication count, sha256 prefix of the implications in order), recorded
