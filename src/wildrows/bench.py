@@ -24,6 +24,7 @@ from .core import (
     Tree,
     bit_positions,
     from_mask,
+    union_over,
 )
 from .rankpoly import rank_poly_recursive
 
@@ -140,15 +141,23 @@ def gen_random_tree(w: int, seed: int) -> Tree:
 # ---------------------------------------------------------------------------
 # brute-force reference answers
 
-def _walk_ideals(p: Poset, visit):
+def _walk_ideals(p: Poset, cap: int, visit):
     """Depth-first extension along the linear extension: each element may
-    join only once its lower covers are in.  Visits every ideal mask once."""
+    join only once its lower covers are in.  Visits every ideal mask once.
+    Guarded: w <= 24 and at most `cap` ideals."""
+    if p.w > BRUTE_IDEALS_MAX_W:
+        raise GuardError(f"poset too large for brute-force ideals (w={p.w} > {BRUTE_IDEALS_MAX_W})")
     order = p.linext
     lower = [p.lower_cover_masks[e] for e in order]
     w = p.w
+    count = 0
 
     def rec(i, mask):
+        nonlocal count
         if i == w:
+            count += 1
+            if count > cap:
+                raise GuardError(f"more than {cap} ideals; raise the cap to proceed")
             visit(mask)
             return
         rec(i + 1, mask)
@@ -161,37 +170,19 @@ def _walk_ideals(p: Poset, visit):
 def brute_ideals(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list[list[frozenset[int]]]:
     """All ideals grouped by cardinality (index k).  Guarded: w <= 24 and at
     most `cap` ideals."""
-    if p.w > BRUTE_IDEALS_MAX_W:
-        raise GuardError(f"poset too large for brute-force ideals (w={p.w} > {BRUTE_IDEALS_MAX_W})")
     grouped: list[list[frozenset[int]]] = [[] for _ in range(p.w + 1)]
-    count = 0
-
-    def visit(mask):
-        nonlocal count
-        count += 1
-        if count > cap:
-            raise GuardError(f"more than {cap} ideals; raise the cap to proceed")
-        grouped[mask.bit_count()].append(from_mask(mask))
-
-    _walk_ideals(p, visit)
+    _walk_ideals(p, cap, lambda mask: grouped[mask.bit_count()].append(from_mask(mask)))
     return grouped
 
 
 def brute_rank_poly(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> RankPolynomial:
     """Reference rank polynomial by direct ideal counting (no sets stored)."""
-    if p.w > BRUTE_IDEALS_MAX_W:
-        raise GuardError(f"poset too large for brute-force ideals (w={p.w} > {BRUTE_IDEALS_MAX_W})")
     counts = [0] * (p.w + 1)
-    total = 0
 
     def visit(mask):
-        nonlocal total
-        total += 1
-        if total > cap:
-            raise GuardError(f"more than {cap} ideals; raise the cap to proceed")
         counts[mask.bit_count()] += 1
 
-    _walk_ideals(p, visit)
+    _walk_ideals(p, cap, visit)
     return RankPolynomial(tuple(counts))
 
 
@@ -213,11 +204,7 @@ def brute_subtrees(t: Tree, k: int) -> list[frozenset[int]]:
         if cur.bit_count() == k:
             out.append(from_mask(cur))
             continue
-        grow = 0
-        for v in bit_positions(cur):
-            grow |= nbr[v]
-        grow &= ~cur
-        for v in bit_positions(grow):
+        for v in bit_positions(union_over(nbr, cur) & ~cur):
             nxt = cur | (1 << (v - 1))
             if nxt not in seen:
                 seen.add(nxt)

@@ -354,10 +354,9 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError, UnicodeDecodeError) as e:
+        # UnicodeDecodeError is a ValueError: a file that is not UTF-8 is
+        # malformed input, not a usage error
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GuardError as e:

@@ -11,6 +11,18 @@ from __future__ import annotations
 from .core import ImplicationFamily, bit_positions, from_mask, to_mask
 
 
+def premise_index(w: int, masks) -> list[list[int]]:
+    """index[e] lists, ascending, the implication indices whose premise
+    holds element e (index[0] is empty); `masks` as ImplicationFamily.masks."""
+    index: list[list[int]] = [[] for _ in range(w + 1)]
+    for i, (prem, _) in enumerate(masks):
+        while prem:
+            low = prem & -prem
+            index[low.bit_length()].append(i)
+            prem ^= low
+    return index
+
+
 class Closer:
     """Reusable forward-chaining engine for one fixed family.
 
@@ -25,15 +37,13 @@ class Closer:
         self.family = family
         self._sizes = []
         self._concs = []
-        self._touch: list[list[int]] = [[] for _ in range(family.w + 1)]
+        self._touch = premise_index(family.w, family.masks)
         self._instant = 0  # conclusions of empty-premise implications
-        for idx, (prem, conc) in enumerate(family.masks):
+        for prem, conc in family.masks:
             self._sizes.append(prem.bit_count())
             self._concs.append(conc)
             if prem == 0:
                 self._instant |= conc
-            for e in bit_positions(prem):
-                self._touch[e].append(idx)
         self.decrements = 0
 
     def close_mask(self, seed: int) -> int:

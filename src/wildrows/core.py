@@ -50,6 +50,17 @@ def bit_positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def union_over(table, mask: int) -> int:
+    """OR of table[e] over the element labels e of a mask; table[0] is
+    never read."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= table[low.bit_length()]
+        mask ^= low
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # implications
 
@@ -499,23 +510,19 @@ class Poset:
         self.linext = tuple(order)
         # p is a lower cover of v iff p is a given predecessor of v lying
         # strictly below no other given predecessor of v
+        strict = [0] * (w + 1)
         down = [0] * (w + 1)
         lower = [0] * (w + 1)
         for v in order:
-            below = covered = 0
-            for p in bit_positions(pred[v]):
-                below |= down[p]
-                covered |= down[p] ^ 1 << (p - 1)
-            down[v] = below | 1 << (v - 1)
+            covered = union_over(strict, pred[v])
+            strict[v] = covered | pred[v]
+            down[v] = strict[v] | 1 << (v - 1)
             lower[v] = pred[v] & ~covered
         # reverse order: every upper cover of v registers itself before v
         up = [0] * (w + 1)
         upper = [0] * (w + 1)
         for v in reversed(order):
-            above = 1 << (v - 1)
-            for q in bit_positions(upper[v]):
-                above |= up[q]
-            up[v] = above
+            up[v] = union_over(up, upper[v]) | 1 << (v - 1)
             for p in bit_positions(lower[v]):
                 upper[p] |= 1 << (v - 1)
         self.down_masks = down
@@ -546,10 +553,7 @@ class Poset:
 
     def is_ideal(self, x: Iterable[int]) -> bool:
         m = to_mask(x)
-        down = 0
-        for e in bit_positions(m):
-            down |= self.down_masks[e]
-        return down == m
+        return union_over(self.down_masks, m) == m
 
     @classmethod
     def chain(cls, w: int) -> "Poset":
@@ -627,7 +631,8 @@ class Tree:
     search that checks connectivity: `bfs_order` lists the vertices in that
     order (root first, neighbours ascending), `bfs_parent[v]` is v's parent
     (0 for the root and at index 0).  Every rooted computation on the tree
-    reads these two.
+    reads these two.  The adjacency is held as `neighbor_masks`, one mask
+    of neighbours per vertex (index 0 unused).
     """
 
     def __init__(self, w: int, edges: Iterable[tuple[int, int]]):
@@ -645,21 +650,22 @@ class Tree:
         if len(set(norm)) != len(norm):
             raise InputError("duplicate tree edge")
         self.edges = tuple(norm)
-        adj: list[list[int]] = [[] for _ in range(w + 1)]
+        nbr = [0] * (w + 1)
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(ns)) for ns in adj)
-        self.neighbor_masks = [to_mask(ns) for ns in self.adjacency]
+            nbr[u] |= 1 << (v - 1)
+            nbr[v] |= 1 << (u - 1)
+        self.neighbor_masks = nbr
         # connectivity: BFS from vertex 1 must reach everything; the visited
         # test also stops on w-1 edges that close a cycle
         parent = [0] * (w + 1)
         order = [1]
+        seen = 1
         for u in order:  # the list grows while it is read
-            for v in self.adjacency[u]:
-                if v != 1 and not parent[v]:
-                    parent[v] = u
-                    order.append(v)
+            fresh = nbr[u] & ~seen
+            seen |= fresh
+            for v in bit_positions(fresh):
+                parent[v] = u
+                order.append(v)
         if len(order) != w:
             raise InputError("tree edges do not connect all vertices")
         self.bfs_order = tuple(order)
@@ -670,10 +676,10 @@ class Tree:
         return range(1, self.w + 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return tuple(bit_positions(self.neighbor_masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.neighbor_masks[v].bit_count()
 
     @classmethod
     def path_graph(cls, w: int) -> "Tree":

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .closure import Closer, is_model_mask
+from .closure import Closer, is_model_mask, premise_index
 from .core import (
     GuardError,
     Implication,
@@ -137,15 +137,9 @@ def _premise_table(w: int, masks) -> list[int]:
     """table[e] is the bitset of the implication indices whose premise holds
     element e (table[0] = 0).  Linear in the total premise length plus w*h/8
     bytes: index lists, then one bytearray per element."""
-    holders = [[] for _ in range(w + 1)]
-    for i, (prem, _) in enumerate(masks):
-        while prem:
-            low = prem & -prem
-            holders[low.bit_length()].append(i)
-            prem ^= low
     size = (len(masks) + 7) // 8
     table = [0]
-    for indices in holders[1:]:
+    for indices in premise_index(w, masks)[1:]:
         buf = bytearray(size)
         for i in indices:
             buf[i >> 3] |= 1 << (i & 7)

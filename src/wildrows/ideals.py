@@ -9,7 +9,9 @@ realized.
 
 from __future__ import annotations
 
-from .core import ImplicationFamily, Poset, bit_positions, to_mask
+from functools import partial
+
+from .core import ImplicationFamily, Poset, to_mask, union_over
 from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
 
 
@@ -29,15 +31,7 @@ def down_closure_mask(p: Poset):
     Agrees with the generic forward chaining on the natural base; used as the
     engine's fast closure.
     """
-    down = p.down_masks
-
-    def close_mask(m: int) -> int:
-        out = 0
-        for e in bit_positions(m):
-            out |= down[e]
-        return out
-
-    return close_mask
+    return partial(union_over, p.down_masks)
 
 
 def ideal_oracle(p: Poset) -> FeasibilityOracle:
@@ -52,12 +46,8 @@ def ideal_oracle(p: Poset) -> FeasibilityOracle:
 
     def oracle(ones, zeros, k):
         z0 = to_mask(ones)
-        y = to_mask(zeros)
-        if z0 & y:
-            return False
-        y_filter = 0
-        for e in bit_positions(y):
-            y_filter |= up[e]
+        # Y lies inside its own filter, so this also rejects Z0 meeting Y
+        y_filter = union_over(up, to_mask(zeros))
         if z0 & y_filter:
             return False
         if k is None:

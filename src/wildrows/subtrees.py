@@ -11,7 +11,7 @@ a single traversal of the forbidden-vertex-free forest.
 
 from __future__ import annotations
 
-from .core import GuardError, ImplicationFamily, Tree, bit_positions, from_mask, to_mask
+from .core import GuardError, ImplicationFamily, Tree, bit_positions, from_mask, to_mask, union_over
 from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
 
 # Largest total written length tree_base will build.  Building it peaks
@@ -132,10 +132,7 @@ def _component(seed: int, allowed: int, neighbor_masks) -> int:
     comp = seed
     frontier = seed
     while frontier:
-        nb = 0
-        for v in bit_positions(frontier):
-            nb |= neighbor_masks[v]
-        frontier = nb & allowed & ~comp
+        frontier = union_over(neighbor_masks, frontier) & allowed & ~comp
         comp |= frontier
     return comp
 

@@ -219,6 +219,25 @@ def test_exit_missing_file(capsys):
     assert run(capsys, "models", "/nonexistent.imp")[0] == 2
 
 
+NOT_UTF8 = b"poset 3\n1 2\xff\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["models", "{}"],
+    ["ideals", "{}"],
+    ["subtrees", "{}", "--k", "2"],
+    ["whitney", "{}"],
+    ["bench", "--spec", "{}"],
+])
+def test_exit_non_utf8_file(tmp_path, capsys, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, *(a.format(bad) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
 def test_exit_guard_violation(tmp_path, capsys):
     big = tmp_path / "big.imp"
     big.write_text("imp 25\n1 -> 2\n")
@@ -281,6 +300,15 @@ def test_models_rejects_element_outside_universe(tmp_path, line, element):
     family.write_text(f"imp 3\n{line}\n")
     done = run_cold("-m", "wildrows", "models", str(family))
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: element {element} outside universe 1..3\n")
+
+
+def test_non_utf8_file_exits_2_cold(tmp_path):
+    bad = tmp_path / "bad.poset"
+    bad.write_bytes(NOT_UTF8)
+    done = run_cold("-m", "wildrows", "ideals", str(bad))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in done.stderr
 
 
 def test_import_loads_neither_numpy_nor_process_pools():

@@ -14,6 +14,7 @@ from wildrows import (
     RowAB,
     SplitMix64,
     Tree,
+    gen_random_tree,
     parse_row,
     render_row,
     row012_count,
@@ -22,6 +23,7 @@ from wildrows import (
     rowab_count,
     rowab_members,
 )
+from wildrows.core import union_over
 
 ROW5_TEXT = "0 0 1 1 2 2 2 a1 b1 b1 a2 b2 b2 b2 a3 b3"
 
@@ -283,6 +285,36 @@ def test_tree_adjacency():
     assert t.bfs_order == (1, 3, 5, 2, 4)
     assert t.bfs_parent == (0, 0, 3, 1, 3, 1)
     assert Tree.path_graph(3).edges == ((1, 2), (2, 3))
+    # against sorted adjacency lists and a breadth-first search over them
+    trees = [Tree(1, []), Tree.path_graph(2), Tree.path_graph(9), Tree.star(8)]
+    trees += [gen_random_tree(w, seed) for w, seed in [(3, 1), (10, 2), (40, 3), (90, 4), (130, 5)]]
+    for t in trees:
+        adj = [[] for _ in range(t.w + 1)]
+        for u, v in t.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        adj = [tuple(sorted(ns)) for ns in adj]
+        parent = [0] * (t.w + 1)
+        order = [1]
+        for u in order:
+            for v in adj[u]:
+                if v != 1 and not parent[v]:
+                    parent[v] = u
+                    order.append(v)
+        assert [t.neighbors(v) for v in range(t.w + 1)] == adj
+        assert [t.degree(v) for v in range(t.w + 1)] == [len(ns) for ns in adj]
+        assert t.bfs_order == tuple(order)
+        assert t.bfs_parent == tuple(parent)
+
+
+def test_union_over_edge_cases():
+    # a dict without key 0 fails on any read of index 0
+    table = {e: 1 << (e + 200) for e in range(1, 151)}
+    assert union_over(table, 0) == 0
+    assert union_over({}, 0) == 0
+    mask = 1 << 0 | 1 << 63 | 1 << 64 | 1 << 149
+    assert union_over(table, mask) == 1 << 201 | 1 << 264 | 1 << 265 | 1 << 350
+    assert union_over(table, (1 << 150) - 1) == sum(table.values())
 
 
 # ---------------------------------------------------------------------------

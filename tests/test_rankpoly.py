@@ -13,6 +13,7 @@ from wildrows import (
     rank_poly_recursive,
     whitney,
 )
+from wildrows.rankpoly import _linext_rank, _pivot
 
 
 def ideals_by_sweep(p):
@@ -51,6 +52,37 @@ def test_pick_pivot_rejects_antichains_and_empty():
         pick_pivot(Poset.antichain(4))
     with pytest.raises(ValueError):
         pick_pivot(Poset.antichain(0))
+
+
+def linext_scan_pivot(subset, p):
+    """The pivot rule read literally: scan the whole linear extension and
+    keep the first element with the highest score above 2."""
+    best, best_score = 0, 2
+    for e in p.linext:
+        if subset >> (e - 1) & 1:
+            score = (p.down_masks[e] & subset).bit_count() + (p.up_masks[e] & subset).bit_count()
+            if score > best_score:
+                best, best_score = e, score
+    return best
+
+
+def test_pivot_matches_linext_scan():
+    rng = SplitMix64(179)
+    posets = [Poset.chain(7), Poset.antichain(5), gen_layered_poset(LayeredSpec(4, 5, 2, seed=11))]
+    posets += [random_poset(rng, 1 + rng.below(30), density=0.05 * (1 + rng.below(8))) for _ in range(30)]
+    for p in posets:
+        rank = _linext_rank(p)
+        full = (1 << p.w) - 1
+        assert _pivot(0, p, rank) == 0
+        subsets = [full] + [rng.next_u64() & full for _ in range(20)]
+        for subset in subsets:
+            assert _pivot(subset, p, rank) == linext_scan_pivot(subset, p)
+            # a greedy antichain inside the subset scores 2 everywhere
+            antichain = 0
+            for e in rng.sample(p.elements, p.w):
+                if subset >> (e - 1) & 1 and not (p.down_masks[e] | p.up_masks[e]) & antichain:
+                    antichain |= 1 << (e - 1)
+            assert _pivot(antichain, p, rank) == linext_scan_pivot(antichain, p) == 0
 
 
 def test_rank_poly_chain_of_two():
