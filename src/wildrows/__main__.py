@@ -1,4 +1,4 @@
-from .cli import main
-import sys
+from .cli import entry
 
-sys.exit(main())
+if __name__ == "__main__":
+    entry()

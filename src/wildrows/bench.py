@@ -118,8 +118,6 @@ def gen_random_tree(w: int, seed: int) -> Tree:
         raise InputError(f"tree needs at least one vertex, got w={w}")
     if w == 1:
         return Tree(1, [])
-    if w == 2:
-        return Tree(2, [(1, 2)])
     rng = SplitMix64(seed)
     code = [1 + rng.below(w) for _ in range(w - 2)]
     degree = [1] * (w + 1)

@@ -19,12 +19,15 @@ token format.  Exit codes: 0 success, 1 usage error, 2 malformed input file,
 3 guard violation (instance too large for a requested brute-force path, or
 a tree whose subtree implication base would hold more than
 subtrees.TREE_BASE_MAX_LENGTH elements or exceed subtrees.TREE_BASE_MAX_CELLS
-in w*h, which refuses every tree with w > 646).
+in w*h, which refuses every tree with w > 646).  A reader that closes
+stdout early ends the `wildrows` command as it ends `seq`: killed by
+SIGPIPE, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
@@ -165,19 +168,17 @@ def parse_bench_specs(text: str) -> list[LayeredSpec]:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _print_set(s) -> None:
-    print("{%s}" % ",".join(map(str, sorted(s))))
-
-
-def _emit_stack(stack, fmt: str, k) -> None:
+def _emit(fmt: str, rows, count, sets) -> None:
+    """Print per --format: the rows, the member sets (an iterable, drawn
+    one at a time) or the number count() returns."""
     if fmt == "count":
-        print(stack.count(k))
+        print(count())
     elif fmt == "rows":
-        for r in stack.rows:
+        for r in rows:
             print(render_row(r))
     else:
-        for s in stack.sets(k):
-            _print_set(s)
+        for s in sets:
+            print("{%s}" % ",".join(map(str, sorted(s))))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def _cmd_models(args) -> int:
             )
             return 3
         stack = enumerate_k_models(family, args.k, brute_oracle(family))
-    _emit_stack(stack, args.format, args.k)
+    _emit(args.format, stack.rows, lambda: stack.count(args.k), stack.sets(args.k))
     return 0
 
 
@@ -208,28 +209,21 @@ def _cmd_ideals(args) -> int:
             print("error: --compact and --k cannot be combined", file=sys.stderr)
             return 1
         rows = ab_enumerate(poset)
-        if args.format == "count":
-            print(sum(rowab_count(r) for r in rows))
-        elif args.format == "rows":
-            for r in rows:
-                print(render_row(r))
-        else:
-            for r in rows:
-                for s in rowab_members(r):
-                    _print_set(s)
+        _emit(args.format, rows, lambda: sum(map(rowab_count, rows)),
+              (s for r in rows for s in rowab_members(r)))
         return 0
     if args.k is None:
         stack = enumerate_models(natural_base(poset))
     else:
         stack = enumerate_k_ideals(poset, args.k)
-    _emit_stack(stack, args.format, args.k)
+    _emit(args.format, stack.rows, lambda: stack.count(args.k), stack.sets(args.k))
     return 0
 
 
 def _cmd_subtrees(args) -> int:
     tree = parse_tree_file(Path(args.file).read_text())
     stack = enumerate_k_subtrees(tree, args.k)
-    _emit_stack(stack, args.format, args.k)
+    _emit(args.format, stack.rows, lambda: stack.count(args.k), stack.sets(args.k))
     return 0
 
 
@@ -368,4 +362,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The `wildrows` command and `python -m wildrows`."""
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes stdout ends the process the way it ends
+        # `seq 100000 | head -1`, with no error text and no exit code 2
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

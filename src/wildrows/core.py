@@ -157,10 +157,44 @@ class ImplicationFamily:
 
 
 # ---------------------------------------------------------------------------
-# {0,1,2}-valued rows
+# wildcard rows
 
-@dataclass(frozen=True)
-class Row012:
+class WildRow:
+    """What the {0,1,2} and {0,1,2,a,b} rows share: a length-w row whose
+    ones and twos are masks, the rest of its positions being zeros and, in
+    a RowAB, bundle positions.  Subclasses are frozen dataclasses with the
+    fields w, ones_mask and twos_mask first; they define `zeros_mask`,
+    `entries` (one token per position) and membership."""
+
+    def __post_init__(self):
+        if (self.ones_mask | self.twos_mask) & ~((1 << self.w) - 1):
+            raise InputError("row mask outside universe")
+        if self.ones_mask & self.twos_mask:
+            raise InputError("ones and twos overlap")
+
+    @classmethod
+    def full(cls, w: int):
+        """The all-2 row: the whole powerset of 1..w."""
+        return cls(w, 0, (1 << w) - 1)
+
+    @property
+    def ones(self) -> frozenset[int]:
+        return from_mask(self.ones_mask)
+
+    @property
+    def twos(self) -> frozenset[int]:
+        return from_mask(self.twos_mask)
+
+    @property
+    def zeros(self) -> frozenset[int]:
+        return from_mask(self.zeros_mask)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({render_row(self)})"
+
+
+@dataclass(frozen=True, repr=False)
+class Row012(WildRow):
     """A length-w row over {0,1,2} encoding the interval of all sets X with
     ones ⊆ X ⊆ ones ∪ twos; entry 2 marks a free ("don't care") position.
 
@@ -172,13 +206,6 @@ class Row012:
     ones_mask: int
     twos_mask: int
     pending: int = field(default=1, compare=False)
-
-    def __post_init__(self):
-        full = (1 << self.w) - 1
-        if self.ones_mask & ~full or self.twos_mask & ~full:
-            raise InputError("row mask outside universe")
-        if self.ones_mask & self.twos_mask:
-            raise InputError("ones and twos overlap")
 
     @classmethod
     def from_entries(cls, entries: Iterable[int], pending: int = 1) -> "Row012":
@@ -193,26 +220,9 @@ class Row012:
                 raise InputError(f"row entry must be 0, 1 or 2, got {e!r}")
         return cls(len(entries), ones, twos, pending)
 
-    @classmethod
-    def full(cls, w: int) -> "Row012":
-        """The all-2 row: the whole powerset of 1..w."""
-        return cls(w, 0, (1 << w) - 1)
-
     @property
     def zeros_mask(self) -> int:
         return ((1 << self.w) - 1) & ~(self.ones_mask | self.twos_mask)
-
-    @property
-    def ones(self) -> frozenset[int]:
-        return from_mask(self.ones_mask)
-
-    @property
-    def twos(self) -> frozenset[int]:
-        return from_mask(self.twos_mask)
-
-    @property
-    def zeros(self) -> frozenset[int]:
-        return from_mask(self.zeros_mask)
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -225,37 +235,34 @@ class Row012:
         m = to_mask(x)
         return m & self.ones_mask == self.ones_mask and m & ~(self.ones_mask | self.twos_mask) == 0
 
-    def __repr__(self):
-        return "Row012(%s)" % " ".join(map(str, self.entries))
-
 
 def row012_count(r: Row012) -> int:
     """Number of sets in the row: 2^(number of free positions)."""
     return 1 << r.twos_mask.bit_count()
 
 
-def row012_list_k(r: Row012, k: int) -> list[frozenset[int]]:
-    """All k-element members of the row, in ascending combination order.
+def row012_k_members(r: Row012, k: int) -> Iterator[frozenset[int]]:
+    """The k-element members of the row, generated lazily in ascending
+    combination order: the forced ones-part plus each (k - |ones|)-subset
+    of the free positions.  Cost is linear in the output."""
+    need = k - r.ones_mask.bit_count()
+    if need >= 0:
+        base = r.ones
+        for extra in itertools.combinations(bit_positions(r.twos_mask), need):
+            yield base | frozenset(extra)
 
-    Cost is linear in the output: the members are the forced ones-part plus
-    each (k - |ones|)-subset of the free positions.
-    """
-    base = r.ones
-    need = k - len(base)
-    free = sorted(r.twos)
-    if need < 0 or need > len(free):
-        return []
-    return [base | frozenset(extra) for extra in itertools.combinations(free, need)]
+
+def row012_list_k(r: Row012, k: int) -> list[frozenset[int]]:
+    """All k-element members of the row, in ascending combination order."""
+    return list(row012_k_members(r, k))
 
 
 def row012_members(r: Row012) -> Iterator[frozenset[int]]:
     """All members, ascending by cardinality, combination order within."""
-    for k in range(len(r.ones), len(r.ones) + len(r.twos) + 1):
-        yield from row012_list_k(r, k)
+    low = r.ones_mask.bit_count()
+    for k in range(low, low + r.twos_mask.bit_count() + 1):
+        yield from row012_k_members(r, k)
 
-
-# ---------------------------------------------------------------------------
-# {0,1,2,a,b}-valued rows
 
 class Bundle(NamedTuple):
     """One premise/conclusion wildcard of a RowAB.
@@ -270,8 +277,8 @@ class Bundle(NamedTuple):
     conc_mask: int
 
 
-@dataclass(frozen=True)
-class RowAB:
+@dataclass(frozen=True, repr=False)
+class RowAB(WildRow):
     """A length-w row over {0,1,2,a(i),b(i)}: zeros, ones, twos plus
     premise/conclusion bundles partition the positions.
 
@@ -290,12 +297,8 @@ class RowAB:
 
     def __post_init__(self):
         object.__setattr__(self, "bundles", tuple(sorted(self.bundles, key=lambda b: b.bid)))
-        full = (1 << self.w) - 1
+        super().__post_init__()
         used = self.ones_mask | self.twos_mask
-        if used & ~full:
-            raise InputError("row mask outside universe")
-        if self.ones_mask & self.twos_mask:
-            raise InputError("ones and twos overlap")
         seen_ids = set()
         for b in self.bundles:
             if b.bid in seen_ids:
@@ -304,7 +307,7 @@ class RowAB:
             if not b.conc_mask:
                 raise InputError(f"bundle {b.bid} has an empty conclusion")
             pm = 1 << (b.prem - 1)
-            if (pm | b.conc_mask) & ~full:
+            if (pm | b.conc_mask) >> self.w:
                 raise InputError("bundle position outside universe")
             if pm & b.conc_mask:
                 raise InputError(f"bundle {b.bid} premise inside its conclusion")
@@ -314,10 +317,6 @@ class RowAB:
         if self.next_bundle <= 0:
             nxt = max((b.bid for b in self.bundles), default=0) + 1
             object.__setattr__(self, "next_bundle", nxt)
-
-    @classmethod
-    def full(cls, w: int) -> "RowAB":
-        return cls(w, 0, (1 << w) - 1)
 
     @property
     def zeros_mask(self) -> int:
@@ -329,18 +328,6 @@ class RowAB:
         for b in self.bundles:
             m |= (1 << (b.prem - 1)) | b.conc_mask
         return m
-
-    @property
-    def ones(self) -> frozenset[int]:
-        return from_mask(self.ones_mask)
-
-    @property
-    def twos(self) -> frozenset[int]:
-        return from_mask(self.twos_mask)
-
-    @property
-    def zeros(self) -> frozenset[int]:
-        return from_mask(self.zeros_mask)
 
     def bundle_conclusion(self, bid: int) -> frozenset[int]:
         for b in self.bundles:
@@ -365,15 +352,12 @@ class RowAB:
         m = to_mask(x)
         if m & self.ones_mask != self.ones_mask:
             return False
-        if m & self.zeros_mask:
+        if m & ~(self.ones_mask | self.twos_mask | self.bundle_mask):
             return False
         for b in self.bundles:
             if m >> (b.prem - 1) & 1 and m & b.conc_mask != b.conc_mask:
                 return False
         return True
-
-    def __repr__(self):
-        return "RowAB(%s)" % " ".join(self.entries)
 
 
 def rowab_count(r: RowAB) -> int:
@@ -387,19 +371,33 @@ def rowab_count(r: RowAB) -> int:
 
 
 def rowab_members(r: RowAB) -> Iterator[frozenset[int]]:
-    """Generate every member set once (deterministic order, not by size)."""
-    free = sorted(from_mask(r.twos_mask))
-    bundle_choices = []
-    for b in r.bundles:
-        conc = sorted(from_mask(b.conc_mask))
-        opts = [frozenset(c) for n in range(len(conc) + 1) for c in itertools.combinations(conc, n)]
-        opts.append(frozenset([b.prem, *conc]))
-        bundle_choices.append(opts)
-    base = r.ones
-    for n in range(len(free) + 1):
-        for extra in itertools.combinations(free, n):
-            for picks in itertools.product(*bundle_choices):
-                yield base | frozenset(extra) | frozenset().union(*picks)
+    """Generate every member set once, lazily (deterministic order, not by
+    size).  The members of the row's {0,1,2} part come in `row012_members`
+    order, and within each the bundle choices in itertools.product order,
+    the last bundle varying fastest; a bundle's choices are the subsets of
+    its conclusion by size, then premise plus conclusion."""
+
+    def choices(i):
+        if not i:
+            return row012_members(Row012(r.w, r.ones_mask, r.twos_mask))
+        b = r.bundles[i - 1]
+        forced = from_mask(1 << (b.prem - 1) | b.conc_mask)
+        return itertools.chain(row012_members(Row012(r.w, 0, b.conc_mask)), (forced,))
+
+    # itertools.product order without product's up-front copy of every
+    # choice list: an odometer whose last digit turns fastest
+    digits = [choices(i) for i in range(len(r.bundles) + 1)]
+    picks = [next(d) for d in digits]
+    while True:
+        yield frozenset().union(*picks)
+        i = len(digits) - 1
+        while (pick := next(digits[i], None)) is None:
+            if not i:
+                return
+            digits[i] = choices(i)
+            picks[i] = next(digits[i])
+            i -= 1
+        picks[i] = pick
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +408,9 @@ _TOKEN = re.compile(r"^(0|1|2|([ab])([1-9][0-9]*))$")
 
 def render_row(r) -> str:
     """Space-separated token line, one token per position."""
-    if isinstance(r, Row012):
-        return " ".join(str(e) for e in r.entries)
-    if isinstance(r, RowAB):
-        return " ".join(r.entries)
-    raise TypeError(f"not a row: {r!r}")
+    if not isinstance(r, WildRow):
+        raise TypeError(f"not a row: {r!r}")
+    return " ".join(map(str, r.entries))
 
 
 def parse_row(text: str, kind: str = "auto"):

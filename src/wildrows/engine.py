@@ -33,7 +33,7 @@ from .core import (
     Row012,
     from_mask,
     row012_count,
-    row012_list_k,
+    row012_k_members,
     row012_members,
     to_mask,
 )
@@ -92,7 +92,7 @@ class FinalStack:
             if k is None:
                 yield from row012_members(r)
             else:
-                yield from row012_list_k(r, k)
+                yield from row012_k_members(r, k)
 
 
 def _split(ones, twos, prem, conc):

@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -309,6 +310,26 @@ def test_non_utf8_file_exits_2_cold(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_like_seq(tmp_path):
+    # 2^16 sets overflow any pipe buffer, so the write after the close fails
+    poset = tmp_path / "antichain.poset"
+    poset.write_text("poset 16\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "wildrows", "ideals", str(poset), "--format", "sets"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"{}\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert stderr == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_import_loads_neither_numpy_nor_process_pools():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from conftest import random_row012, random_rowab
@@ -23,7 +24,8 @@ from wildrows import (
     rowab_count,
     rowab_members,
 )
-from wildrows.core import union_over
+from wildrows.core import Bundle, from_mask, union_over
+from wildrows.engine import EngineStats, FinalStack
 
 ROW5_TEXT = "0 0 1 1 2 2 2 a1 b1 b1 a2 b2 b2 b2 a3 b3"
 
@@ -92,6 +94,11 @@ def test_row012_entries_roundtrip():
     assert r.ones == {3} and r.zeros == {1, 6} and r.twos == {2, 4, 5, 7}
 
 
+def test_row012_repr():
+    assert repr(Row012.from_entries((1, 0, 2))) == "Row012(1 0 2)"
+    assert repr(Row012(0, 0, 0)) == "Row012()"
+
+
 # ---------------------------------------------------------------------------
 # RowAB
 
@@ -135,6 +142,126 @@ def test_rowab_members_agree_with_contains():
         assert generated == swept
 
 
+def test_rowab_repr():
+    assert repr(parse_row("a1 b1 2 0 1 a12 b12 b12")) == "RowAB(a1 b1 2 0 1 a12 b12 b12)"
+    assert repr(RowAB(0, 0, 0)) == "RowAB()"
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 0b100, 0), "row mask outside universe"),
+    ((2, 0b01, 0b01), "ones and twos overlap"),
+    ((3, 0, 0, (Bundle(1, 1, 0b10), Bundle(1, 3, 0b10))), "duplicate bundle id 1"),
+    ((3, 0, 0, (Bundle(4, 1, 0),)), "bundle 4 has an empty conclusion"),
+    ((3, 0, 0, (Bundle(2, 1, 0b1000),)), "bundle position outside universe"),
+    ((3, 0, 0, (Bundle(5, 1, 0b011),)), "bundle 5 premise inside its conclusion"),
+    ((3, 0b10, 0, (Bundle(6, 1, 0b010),)), "bundle positions overlap other row parts"),
+])
+def test_rowab_validation_messages(args, message):
+    with pytest.raises(InputError) as e:
+        RowAB(*args)
+    assert str(e.value) == message
+
+
+def test_rowab_bundle_conclusion_unknown_id():
+    with pytest.raises(KeyError) as e:
+        parse_row("a1 b1").bundle_conclusion(2)
+    assert e.value.args == (2,)
+
+
+# ---------------------------------------------------------------------------
+# member streams
+
+def _reference_row012_list_k(r, k):
+    base = r.ones
+    need = k - len(base)
+    free = sorted(r.twos)
+    if need < 0 or need > len(free):
+        return []
+    return [base | frozenset(extra) for extra in itertools.combinations(free, need)]
+
+
+def _reference_row012_members(r):
+    for k in range(len(r.ones), len(r.ones) + len(r.twos) + 1):
+        yield from _reference_row012_list_k(r, k)
+
+
+def _reference_rowab_members(r):
+    # builds every bundle's choice list up front: the order to keep
+    free = sorted(from_mask(r.twos_mask))
+    bundle_choices = []
+    for b in r.bundles:
+        conc = sorted(from_mask(b.conc_mask))
+        opts = [frozenset(c) for n in range(len(conc) + 1) for c in itertools.combinations(conc, n)]
+        opts.append(frozenset([b.prem, *conc]))
+        bundle_choices.append(opts)
+    base = r.ones
+    for n in range(len(free) + 1):
+        for extra in itertools.combinations(free, n):
+            for picks in itertools.product(*bundle_choices):
+                yield base | frozenset(extra) | frozenset().union(*picks)
+
+
+def _edge_rows():
+    rows012 = [Row012(0, 0, 0), Row012.from_entries([1, 0, 1]), Row012.from_entries([0, 0]),
+               Row012.from_entries([2]), Row012.full(5)]
+    rowsab = [RowAB(0, 0, 0), parse_row("1 0 1", kind="ab"), parse_row("a1 b1"),
+              parse_row("a1 b1 a2 b2 b2 a3 b3"), parse_row("b2 a1 2 b1 b1 1 a2 0 a7 b7 2 b7")]
+    return rows012, rowsab
+
+
+def test_member_order_matches_reference():
+    rng = SplitMix64(37)
+    rows012, rowsab = _edge_rows()
+    for _ in range(40):
+        w = rng.below(10)
+        rows012.append(random_row012(rng, w))
+        rowsab.append(random_rowab(rng, w + 2))
+    for r in rows012:
+        assert list(row012_members(r)) == list(_reference_row012_members(r))
+        for k in range(-1, r.w + 2):
+            assert row012_list_k(r, k) == _reference_row012_list_k(r, k)
+    stack = FinalStack(tuple(rows012), EngineStats())
+    assert list(stack.sets()) == [s for r in rows012 for s in _reference_row012_members(r)]
+    for k in range(-1, 12):
+        assert list(stack.sets(k)) == [s for r in rows012 for s in _reference_row012_list_k(r, k)]
+    for r in rowsab:
+        assert list(rowab_members(r)) == list(_reference_rowab_members(r))
+
+
+def _peak_before_first(members) -> int:
+    tracemalloc.start()
+    try:
+        next(members())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_members_stream_without_building_the_row():
+    # one bundle of 18 conclusion positions holds 2^18 + 1 choices, and the
+    # 11-element members of the all-2 row of length 22 are C(22, 11) sets
+    bundle18 = parse_row(" ".join(["b1"] * 18 + ["a1"]))
+    assert _peak_before_first(lambda: rowab_members(bundle18)) < 1 << 20
+    stack = FinalStack((Row012.full(22),), EngineStats())
+    assert _peak_before_first(lambda: stack.sets(11)) < 1 << 20
+    assert _peak_before_first(lambda: row012_members(Row012.full(22))) < 1 << 20
+
+
+def test_membership_matches_members():
+    rng = SplitMix64(41)
+    rows = [r for kind in _edge_rows() for r in kind]
+    for _ in range(30):
+        w = rng.below(7)
+        rows += [random_row012(rng, w), random_rowab(rng, w + 2)]
+    for r in rows:
+        members = set(rowab_members(r) if isinstance(r, RowAB) else row012_members(r))
+        for bits in itertools.product([0, 1], repeat=r.w + 1):
+            x = frozenset(i + 1 for i, b in enumerate(bits) if b)
+            assert (x in r) == (x in members), (r, x)
+    assert frozenset({5}) not in RowAB.full(3)
+    assert {2, 3, 9} not in parse_row("2 a1 b1")
+
+
 # ---------------------------------------------------------------------------
 # render / parse
 
@@ -171,6 +298,22 @@ def test_parse_render_roundtrip_random():
         assert parse_row(render_row(r012), kind="012") == r012
         rab = random_rowab(rng, w)
         assert parse_row(render_row(rab), kind="ab") == rab
+
+
+def test_render_row_rejects_non_rows():
+    for obj, message in [(5, "not a row: 5"), ("1 2", "not a row: '1 2'")]:
+        with pytest.raises(TypeError) as e:
+            render_row(obj)
+        assert str(e.value) == message
+
+
+def test_parse_row_bad_kind():
+    with pytest.raises(ValueError) as e:
+        parse_row("1 2", kind="x")
+    assert type(e.value) is ValueError and str(e.value) == "bad kind 'x'"
+    # tokens are checked before the kind
+    with pytest.raises(InputError, match="unknown row token 'zz' at position 2"):
+        parse_row("1 zz", kind="x")
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +400,17 @@ def test_poset_relation_outside_universe():
         Poset(2, [(1, 3)])
 
 
+def test_poset_negative_size():
+    with pytest.raises(InputError) as e:
+        Poset(-1)
+    assert str(e.value) == "poset size must be nonnegative, got -1"
+
+
+def test_poset_repr():
+    assert repr(Poset(4, [(1, 2), (1, 3), (2, 4), (3, 4)])) == "Poset(w=4, covers=[(1, 2), (1, 3), (2, 4), (3, 4)])"
+    assert repr(Poset(0)) == "Poset(w=0, covers=[])"
+
+
 # ---------------------------------------------------------------------------
 # trees
 
@@ -275,6 +429,17 @@ def test_tree_validation():
     for edges in ([(1, 2), (2, 3), (1, 3)], [(2, 3), (3, 4), (2, 4)]):
         with pytest.raises(InputError, match="do not connect"):
             Tree(4, edges)
+
+
+def test_tree_without_vertices():
+    with pytest.raises(InputError) as e:
+        Tree(0, [])
+    assert str(e.value) == "tree needs at least one vertex, got w=0"
+
+
+def test_tree_repr():
+    assert repr(Tree(3, [(2, 3), (1, 2)])) == "Tree(w=3, edges=[(1, 2), (2, 3)])"
+    assert repr(Tree(1, [])) == "Tree(w=1, edges=[])"
 
 
 def test_tree_adjacency():
@@ -334,3 +499,12 @@ def test_rank_polynomial_ops():
     assert p.padded(4) == (1, 3, 3, 1, 0)
     with pytest.raises(ValueError):
         RankPolynomial((1, -2))
+
+
+def test_rank_polynomial_repr_and_degree():
+    assert repr(RankPolynomial((1, 3, 0))) == "RankPolynomial(1, 3)"
+    assert repr(RankPolynomial.zero()) == "RankPolynomial()"
+    assert repr(RankPolynomial.one()) == "RankPolynomial(1,)"
+    assert RankPolynomial((1, 3, 0)).degree == 1
+    assert RankPolynomial.binomial(5).degree == 5
+    assert RankPolynomial.zero().degree == -1
