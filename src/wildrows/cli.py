@@ -15,13 +15,18 @@ Every universe size is bounded by MAX_UNIVERSE (4096 elements): a header
 allocated for the instance.
 
 Sets print as "{e1,e2,...}" ascending, one per line; rows print in the row
-token format.  Exit codes: 0 success, 1 usage error, 2 malformed input file,
-3 guard violation (instance too large for a requested brute-force path, or
-a tree whose subtree implication base would hold more than
-subtrees.TREE_BASE_MAX_LENGTH elements or exceed subtrees.TREE_BASE_MAX_CELLS
-in w*h, which refuses every tree with w > 646).  A reader that closes
-stdout early ends the `wildrows` command as it ends `seq`: killed by
-SIGPIPE, with nothing on stderr.
+token format.  Exit codes: 0 success, 1 usage error, 2 malformed input file
+(also one that cannot be read or is not UTF-8), 3 guard violation (instance
+too large for a requested brute-force path, or a tree whose subtree
+implication base would hold more than subtrees.TREE_BASE_MAX_LENGTH elements
+or exceed subtrees.TREE_BASE_MAX_CELLS in w*h, which refuses every tree with
+w > 646), 4 a failed write to stdout or to --out, or another
+operating-system error.  A reader that closes stdout early ends the
+`wildrows` command as it ends `seq`: killed by SIGPIPE, with nothing on
+stderr.
+
+Every subcommand reads its file through `_read` and does its work or raises;
+`main` alone prints "error: ..." and picks the exit code.
 """
 
 from __future__ import annotations
@@ -85,28 +90,26 @@ def _header(lines, expected: str) -> int:
     return _check_universe(w, f"line {lineno}")
 
 
-def _int_pair(lineno: int, line: str) -> tuple[int, int]:
-    parts = line.split()
-    if len(parts) != 2:
-        raise InputError(f"line {lineno}: expected two integers, got {line!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"line {lineno}: expected two integers, got {line!r}") from None
+def _pair_file(text: str, kind: str) -> tuple[int, list[tuple[int, int]]]:
+    """The size and the "u v" lines of a poset or tree file."""
+    lines = _meaningful_lines(text)
+    w = _header(lines, kind)
+    pairs = []
+    for lineno, line in lines:
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise InputError(f"line {lineno}: expected two integers, got {line!r}") from None
+        pairs.append((u, v))
+    return w, pairs
 
 
 def parse_poset_file(text: str) -> Poset:
-    lines = _meaningful_lines(text)
-    w = _header(lines, "poset")
-    relations = [_int_pair(lineno, line) for lineno, line in lines]
-    return Poset(w, relations)
+    return Poset(*_pair_file(text, "poset"))
 
 
 def parse_tree_file(text: str) -> Tree:
-    lines = _meaningful_lines(text)
-    w = _header(lines, "tree")
-    edges = [_int_pair(lineno, line) for lineno, line in lines]
-    return Tree(w, edges)
+    return Tree(*_pair_file(text, "tree"))
 
 
 def parse_family_file(text: str) -> ImplicationFamily:
@@ -127,25 +130,20 @@ def parse_family_file(text: str) -> ImplicationFamily:
     return ImplicationFamily(w, imps)
 
 
-def format_poset(p: Poset, comment: str = "") -> str:
-    out = []
-    if comment:
-        out.append(f"# {comment}")
-    out.append(f"poset {p.w}")
-    for u in p.elements:
-        for v in bit_positions(p.upper_cover_masks[u]):
-            out.append(f"{u} {v}")
+def _format_pairs(kind: str, w: int, pairs, comment: str) -> str:
+    out = [f"# {comment}"] if comment else []
+    out.append(f"{kind} {w}")
+    out.extend(f"{u} {v}" for u, v in pairs)
     return "\n".join(out) + "\n"
+
+
+def format_poset(p: Poset, comment: str = "") -> str:
+    covers = ((u, v) for u in p.elements for v in bit_positions(p.upper_cover_masks[u]))
+    return _format_pairs("poset", p.w, covers, comment)
 
 
 def format_tree(t: Tree, comment: str = "") -> str:
-    out = []
-    if comment:
-        out.append(f"# {comment}")
-    out.append(f"tree {t.w}")
-    for u, v in t.edges:
-        out.append(f"{u} {v}")
-    return "\n".join(out) + "\n"
+    return _format_pairs("tree", t.w, t.edges, comment)
 
 
 def parse_bench_specs(text: str) -> list[LayeredSpec]:
@@ -166,7 +164,16 @@ def parse_bench_specs(text: str) -> list[LayeredSpec]:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# input and output
+
+def _read(path: str) -> str:
+    """The text of an instance file: one that cannot be read, or is not
+    UTF-8, is malformed input."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(str(e)) from None
+
 
 def _emit(fmt: str, rows, count, sets) -> None:
     """Print per --format: the rows, the member sets (an iterable, drawn
@@ -182,53 +189,47 @@ def _emit(fmt: str, rows, count, sets) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each does its work or raises, and main maps the exception
 
-def _cmd_models(args) -> int:
-    family = parse_family_file(Path(args.file).read_text())
+def _cmd_models(args) -> None:
+    family = parse_family_file(_read(args.file))
     if args.k is None:
         stack = enumerate_models(family)
     else:
         if family.w > BRUTE_ORACLE_MAX_W:
-            print(
-                f"error: --k on a generic implication family needs the exhaustive "
+            raise GuardError(
+                f"--k on a generic implication family needs the exhaustive "
                 f"oracle, which is limited to w <= {BRUTE_ORACLE_MAX_W} (got w={family.w}); "
-                f"for posets or trees use 'ideals --k' or 'subtrees --k' instead",
-                file=sys.stderr,
+                f"for posets or trees use 'ideals --k' or 'subtrees --k' instead"
             )
-            return 3
         stack = enumerate_k_models(family, args.k, brute_oracle(family))
     _emit(args.format, stack.rows, lambda: stack.count(args.k), stack.sets(args.k))
-    return 0
 
 
-def _cmd_ideals(args) -> int:
-    poset = parse_poset_file(Path(args.file).read_text())
+def _cmd_ideals(args) -> None:
+    poset = parse_poset_file(_read(args.file))
     if args.compact:
         if args.k is not None:
-            print("error: --compact and --k cannot be combined", file=sys.stderr)
-            return 1
+            raise ValueError("--compact and --k cannot be combined")
         rows = ab_enumerate(poset)
         _emit(args.format, rows, lambda: sum(map(rowab_count, rows)),
               (s for r in rows for s in rowab_members(r)))
-        return 0
+        return
     if args.k is None:
         stack = enumerate_models(natural_base(poset))
     else:
         stack = enumerate_k_ideals(poset, args.k)
     _emit(args.format, stack.rows, lambda: stack.count(args.k), stack.sets(args.k))
-    return 0
 
 
-def _cmd_subtrees(args) -> int:
-    tree = parse_tree_file(Path(args.file).read_text())
+def _cmd_subtrees(args) -> None:
+    tree = parse_tree_file(_read(args.file))
     stack = enumerate_k_subtrees(tree, args.k)
     _emit(args.format, stack.rows, lambda: stack.count(args.k), stack.sets(args.k))
-    return 0
 
 
-def _cmd_whitney(args) -> int:
-    poset = parse_poset_file(Path(args.file).read_text())
+def _cmd_whitney(args) -> None:
+    poset = parse_poset_file(_read(args.file))
     if args.method == "recursive":
         poly, _ = rank_poly_recursive(poset)
     else:
@@ -239,10 +240,9 @@ def _cmd_whitney(args) -> int:
         poly_rec, nsum = rank_poly_recursive(poset)
         print("agree" if poly == poly_rec else "disagree")
         print(f"R={len(rows)} nsum={nsum}")
-    return 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     if args.kind == "poset":
         _check_universe(args.m * args.l, "gen poset")
         spec = LayeredSpec(args.m, args.l, args.t, args.seed)
@@ -260,18 +260,16 @@ def _cmd_gen(args) -> int:
         Path(args.out).write_text(text)
     else:
         print(text, end="")
-    return 0
 
 
-def _cmd_bench(args) -> int:
-    specs = parse_bench_specs(Path(args.spec).read_text())
+def _cmd_bench(args) -> None:
+    specs = parse_bench_specs(_read(args.spec))
     report = run_bench(specs, workers=args.threads, timeout_s=args.timeout)
     if args.machine:
         for line in report.machine_lines():
             print(line)
     else:
         print(report.table())
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--m", type=int, required=True, help="level width")
     gp.add_argument("--l", type=int, required=True, help="level count")
     gp.add_argument("--t", type=int, required=True, help="lower covers per element")
-    gp.add_argument("--seed", type=int, required=True)
-    gp.add_argument("--out", default=None)
-    gp.set_defaults(func=_cmd_gen)
     gt = gensub.add_parser("tree", help="uniform random labelled tree")
     gt.add_argument("--w", type=int, required=True)
-    gt.add_argument("--seed", type=int, required=True)
-    gt.add_argument("--out", default=None)
-    gt.set_defaults(func=_cmd_gen)
+    for g in (gp, gt):
+        g.add_argument("--seed", type=int, required=True)
+        g.add_argument("--out", default=None)
+        g.set_defaults(func=_cmd_gen)
 
     sp = sub.add_parser("bench", help="compare the two methods on generated instances")
     sp.add_argument("--spec", required=True, help="file with 'm l t seed' lines")
@@ -340,6 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An exception's exit code: the first class here that it is an instance of.
+# Reading is done by _read, which turns every OSError into an InputError,
+# so an OSError that reaches main is a failed write to stdout or to --out.
+_EXIT_CODES = ((InputError, 2), (GuardError, 3), (ValueError, 1), (OSError, 4))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -347,18 +349,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args)
-    except (InputError, OSError, UnicodeDecodeError) as e:
-        # UnicodeDecodeError is a ValueError: a file that is not UTF-8 is
-        # malformed input, not a usage error
+        args.func(args)
+        # a buffered write that fails only now is still this call's failure
+        sys.stdout.flush()
+    except (ValueError, GuardError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except GuardError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
+    return 0
 
 
 def entry() -> None:

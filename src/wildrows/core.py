@@ -23,9 +23,8 @@ class InputError(ValueError):
 class GuardError(RuntimeError):
     """Instance too large for a requested code path: a brute-force
     reference, or a subtree implication base (`subtrees.tree_base`) longer
-    than `subtrees.TREE_BASE_MAX_LENGTH` elements (2.9-82 B each to build)
-    or with w*h above `subtrees.TREE_BASE_MAX_CELLS` (0.31-1.0 B per unit
-    to build with the engine's premise table)."""
+    than `subtrees.TREE_BASE_MAX_LENGTH` or with w*h above
+    `subtrees.TREE_BASE_MAX_CELLS`; their memory figures sit with them."""
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,8 @@ def _lifo(
     family: ImplicationFamily, admit: Callable[[int, int], bool] | None = None
 ) -> FinalStack:
     """The LIFO exclusion loop of both enumerators.  `admit`, when given,
-    vets each candidate son (ones, twos) before it may be stacked; None
-    admits every son.
+    vets the root row and each candidate son (ones, twos) before it may be
+    stacked; None admits every row.
 
     A stacked row is (ones, twos, pending, open): bit i-1 of open is set
     while implication i is still pending (i >= pending) and its premise
@@ -165,7 +165,8 @@ def _lifo(
     out_prem = [~bits for bits in _premise_table(w, masks)]
     impositions = candidates = killed = deletions = 0
     final = []
-    stack = [(0, (1 << w) - 1, 1, (1 << h) - 1)]
+    full = (1 << w) - 1
+    stack = [(0, full, 1, (1 << h) - 1)] if admit is None or admit(0, full) else []
     while stack:
         ones, twos, start, open_ = stack.pop()
         while open_:
@@ -253,8 +254,6 @@ def enumerate_k_models(
             return False
         return bool(oracle(from_mask(z0), from_mask(zeros), k))
 
-    if not feasible(0, full):
-        return FinalStack((), EngineStats())
     return _lifo(family, feasible)
 
 

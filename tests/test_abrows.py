@@ -65,6 +65,12 @@ def test_impose_rejects_non_free_premise_position():
         ab_impose(parse_row("1 2 2", kind="ab"), 1, {2})
 
 
+def test_impose_rejects_premise_inside_conclusion():
+    with pytest.raises(ValueError) as info:
+        ab_impose(parse_row("2 2 2", kind="ab"), 1, {1, 2})
+    assert str(info.value) == "premise position inside its own conclusion"
+
+
 def test_impose_split_over_bundles():
     # positions: 1=b1 2=b2 3=0 | conclusion 4..9: b4 b2 a1 a2 b3 2 | 10=b3
     # 11=a3 12=a4 13=premise(2) 14=2

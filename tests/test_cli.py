@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import signal
 import subprocess
@@ -362,3 +364,64 @@ def test_subtrees_refuses_wide_tree_base(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (
         3, "", "error: tree base too large: w*h = 2177350752 for w=1634, limit 134217728\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# error texts that only an in-process call reaches, and failed writes (exit 4)
+
+def test_parse_non_integer_texts():
+    with pytest.raises(InputError) as info:
+        parse_family_file("imp 2\n1 -> x\n")
+    assert str(info.value) == "line 2: non-integer element in '1 -> x'"
+    with pytest.raises(InputError) as info:
+        parse_bench_specs("1 2 x 4\n")
+    assert str(info.value) == "line 1: non-integer field in '1 2 x 4'"
+
+
+def test_exit_guard_violation_tree_base(tmp_path, capsys):
+    path = tmp_path / "path.tree"
+    path.write_text(format_tree(Tree.path_graph(288)))
+    assert run(capsys, "subtrees", str(path), "--k", "2") == (
+        3, "", "error: tree base too large: 4022018 elements for w=288, limit 4000000\n"
+    )
+
+
+def test_exit_failed_write_to_out(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "gen", "tree", "--w", "5", "--seed", "1", "--out", str(missing))
+    assert (code, out) == (4, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+class FullStdout(io.StringIO):
+    """A stdout whose writes, or only its flushes, fail as on a full disk."""
+
+    def __init__(self, fail_write):
+        super().__init__()
+        self.fail_write = fail_write
+
+    def write(self, s):
+        if self.fail_write:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(s)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fail_write", [True, False], ids=["write", "flush"])
+def test_exit_failed_write_to_stdout(files, capsys, monkeypatch, fail_write):
+    monkeypatch.setattr(sys, "stdout", FullStdout(fail_write))
+    code = main(["ideals", files["chain3.poset"], "--format", "sets"])
+    assert (code, capsys.readouterr().err) == (4, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_full_stdout_exits_4_cold(tmp_path):
+    poset = tmp_path / "antichain.poset"
+    poset.write_text("poset 16\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "wildrows", "ideals", str(poset), "--format", "sets"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (4, "error: [Errno 28] No space left on device\n")

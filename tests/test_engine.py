@@ -4,6 +4,8 @@ import pytest
 from conftest import random_family, random_row012
 
 from wildrows import (
+    EngineStats,
+    FinalStack,
     GuardError,
     Implication,
     ImplicationFamily,
@@ -205,6 +207,17 @@ def test_k_models_infeasible_root_gives_empty_stack():
     stack = enumerate_k_models(fam, 1, brute_oracle(fam))
     assert stack.rows == ()
     assert stack.stats.final_row_count == 0
+
+
+def test_k_models_root_vetted_once_like_a_son():
+    # models are {}, {2,3} and {1,2,3}: the root's closure {} fits k=1, so
+    # only the oracle refuses it, once, and no counter moves
+    fam = ImplicationFamily(3, [Implication({1}, {2}), Implication({2}, {3}), Implication({3}, {2})])
+    oracle = brute_oracle(fam)
+    calls = []
+    stack = enumerate_k_models(fam, 1, lambda *a: calls.append(a) or oracle(*a))
+    assert stack == FinalStack((), EngineStats())
+    assert calls == [(frozenset(), frozenset(), 1)]
 
 
 # ---------------------------------------------------------------------------
