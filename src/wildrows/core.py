@@ -30,7 +30,10 @@ class GuardError(RuntimeError):
 # ---------------------------------------------------------------------------
 # bitmask helpers
 
-def to_mask(elements: Iterable[int]) -> int:
+def to_mask(elements: Iterable[int] | int) -> int:
+    """The mask of a set of 1-based element labels; a mask passes through."""
+    if isinstance(elements, int):
+        return elements
     m = 0
     for e in elements:
         m |= 1 << (e - 1)

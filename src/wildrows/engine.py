@@ -39,10 +39,12 @@ from .core import (
 )
 
 # Contract: oracle(ones, zeros, k) is True iff some model Z of the family
-# satisfies ones ⊆ Z, Z ∩ zeros = ∅ and |Z| = k.  The engine always passes
-# the closure of a row's ones-part.  k=None lifts the cardinality restriction;
-# the engine itself only ever passes an int.
-FeasibilityOracle = Callable[[frozenset, frozenset, Optional[int]], bool]
+# satisfies ones ⊆ Z, Z ∩ zeros = ∅ and |Z| = k.  ones and zeros are int
+# bitmasks (bit e-1 stands for element e); the built-in oracles also accept
+# frozensets, through to_mask.  The engine always passes the closure of a
+# row's ones-part.  k=None lifts the cardinality restriction; the engine
+# itself only ever passes an int.
+FeasibilityOracle = Callable[[int, int, Optional[int]], bool]
 
 BRUTE_ORACLE_MAX_W = 24
 
@@ -226,6 +228,9 @@ def enumerate_k_models(
     final row count is at most the number of k-element models.  Use
     `FinalStack.sets(k)` to materialize them.
 
+    The oracle receives the closure and the zeros as int masks,
+    `oracle(z0_mask, zeros_mask, k)`, so no set is built per call.
+
     `closure_mask` may supply a faster mask-level closure for the family
     (must agree with the generic forward chaining); by default the family's
     own chaining is used.
@@ -252,7 +257,7 @@ def enumerate_k_models(
         z0 = closure_mask(ones)
         if z0.bit_count() > k or z0 & zeros:
             return False
-        return bool(oracle(from_mask(z0), from_mask(zeros), k))
+        return bool(oracle(z0, zeros, k))
 
     return _lifo(family, feasible)
 
@@ -261,7 +266,8 @@ def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:
     """Exhaustive-search feasibility oracle for desk-scale families.
 
     Searches the subsets between the ones-part and the complement of the
-    zeros-part.  Refuses universes beyond w=24.
+    zeros-part, given as masks or as frozensets.  Refuses universes beyond
+    w=24.
     """
     if family.w > BRUTE_ORACLE_MAX_W:
         raise GuardError(

@@ -40,6 +40,7 @@ def ideal_oracle(p: Poset) -> FeasibilityOracle:
     For a query (Z0, Y, k) with Z0 an ideal disjoint from Y: the largest
     ideal avoiding Y is the complement of the filter generated by Y, and a
     k-element ideal extending Z0 exists iff |Z0| <= k <= |that complement|.
+    Z0 and Y are int masks, as the engine passes them, or frozensets.
     """
     up = p.up_masks
     full = (1 << p.w) - 1

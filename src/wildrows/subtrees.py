@@ -11,7 +11,7 @@ a single traversal of the forbidden-vertex-free forest.
 
 from __future__ import annotations
 
-from .core import GuardError, ImplicationFamily, Tree, bit_positions, from_mask, to_mask, union_over
+from .core import GuardError, ImplicationFamily, Tree, from_mask, to_mask, union_over
 from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
 
 # Largest total written length tree_base will build.  Building it peaks
@@ -113,9 +113,12 @@ def steiner_closure_mask(t: Tree):
             return 0
         union = 0
         common = -1
-        for v in bit_positions(seed):
+        while seed:
+            low = seed & -seed
+            v = low.bit_length()
             union |= up[v]
             common &= up[v]
+            seed ^= low
         return union & ~common | tip[common]
 
     return close_mask
@@ -127,11 +130,12 @@ def steiner_closure(t: Tree, s) -> frozenset[int]:
     return from_mask(steiner_closure_mask(t)(to_mask(s)))
 
 
-def _component(seed: int, allowed: int, neighbor_masks) -> int:
-    """Grow `seed` to its connected component within `allowed`."""
+def _component(seed: int, allowed: int, neighbor_masks, k: int) -> int:
+    """Grow `seed` within `allowed`, breadth first, until it holds at least
+    k vertices or is its whole connected component."""
     comp = seed
     frontier = seed
-    while frontier:
+    while frontier and comp.bit_count() < k:
         frontier = union_over(neighbor_masks, frontier) & allowed & ~comp
         comp |= frontier
     return comp
@@ -143,7 +147,9 @@ def subtree_oracle(t: Tree) -> FeasibilityOracle:
     Remove the forbidden vertices; a k-element subtree extending a connected
     Z0 exists iff Z0 is not larger than k and its component in the remaining
     forest has at least k vertices (for empty Z0: some component does, or
-    k = 0).
+    k = 0).  Z0 and the forbidden set are int masks, as the engine passes
+    them, or frozensets.  A component is grown only until it reaches k
+    vertices; a component cut short that way already answers True.
     """
     nbr = t.neighbor_masks
     full = (1 << t.w) - 1
@@ -159,12 +165,12 @@ def subtree_oracle(t: Tree) -> FeasibilityOracle:
         if z0:
             if z0.bit_count() > k:
                 return False
-            return _component(z0, forest, nbr).bit_count() >= k
+            return _component(z0, forest, nbr, k).bit_count() >= k
         if k == 0:
             return True
         rest = forest
         while rest:
-            comp = _component(rest & -rest, forest, nbr)
+            comp = _component(rest & -rest, forest, nbr, k)
             if comp.bit_count() >= k:
                 return True
             rest &= ~comp

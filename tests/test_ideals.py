@@ -7,6 +7,7 @@ from wildrows import (
     Poset,
     SplitMix64,
     brute_ideals,
+    brute_oracle,
     close,
     enumerate_k_ideals,
     enumerate_models,
@@ -15,6 +16,7 @@ from wildrows import (
     rank_poly_recursive,
     whitney,
 )
+from wildrows.core import to_mask
 from wildrows.ideals import down_closure_mask
 
 
@@ -112,6 +114,26 @@ def test_ideal_oracle_agrees_with_exhaustive_search():
                 len(z) == k and z0 <= z and not (y & z) for z in all_ideals
             )
             assert oracle(z0, y, k) == expect
+
+
+def test_ideal_oracles_answer_masks_and_frozensets_alike():
+    # k runs over None and 0..w; Y is drawn from every element, so it often
+    # meets Z0
+    rng = SplitMix64(421)
+    for _ in range(15):
+        w = 1 + rng.below(10)
+        p = random_poset(rng, w)
+        fam = natural_base(p)
+        fast, slow = ideal_oracle(p), brute_oracle(fam)
+        for k in (None, *range(w + 1)):
+            for _ in range(3):
+                z0 = close(rng.sample(range(1, w + 1), rng.below(w + 1)), fam)
+                y = frozenset(rng.sample(range(1, w + 1), rng.below(w + 1)))
+                z0m, ym = to_mask(z0), to_mask(y)
+                answer = slow(z0, y, k)
+                assert slow(z0m, ym, k) == answer
+                assert fast(z0, y, k) == answer
+                assert fast(z0m, ym, k) == answer
 
 
 def test_enumerate_k_ideals_chain():

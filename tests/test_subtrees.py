@@ -9,6 +9,7 @@ from wildrows import (
     Implication,
     SplitMix64,
     Tree,
+    brute_oracle,
     brute_subtrees,
     close,
     enumerate_k_subtrees,
@@ -20,6 +21,7 @@ from wildrows import (
     tree_base,
 )
 from wildrows import subtrees
+from wildrows.core import to_mask
 from wildrows.subtrees import TREE_BASE_MAX_CELLS, TREE_BASE_MAX_LENGTH, _base_length, steiner_closure_mask
 
 
@@ -143,6 +145,44 @@ def test_subtree_oracle_agrees_with_exhaustive_search():
             k = rng.below(w + 2)
             expect = any(len(z) == k and z0 <= z and not (y & z) for z in connected)
             assert oracle(z0, y, k) == expect
+
+
+def oracle_trees(rng):
+    """Edge shapes (w = 1 and 2, paths, stars) plus seeded random trees,
+    all small enough for the exhaustive oracle."""
+    shapes = [Tree.path_graph(1), Tree.path_graph(2), Tree.path_graph(7), Tree.path_graph(12), Tree.star(6), Tree.star(12)]
+    return shapes + [gen_random_tree(3 + rng.below(10), rng.next_u64()) for _ in range(8)]
+
+
+def oracle_queries(rng, t, per_k):
+    """Seeded (Z0, Y, k) queries for every k in None, 0..w: Z0 a Steiner
+    closure, empty in about a quarter of them; Y a random vertex set, drawn
+    from all vertices in about a quarter of them, so that it may meet Z0."""
+    for k in (None, 0, *t.vertices):
+        for _ in range(per_k):
+            z0 = steiner_closure(t, rng.sample(t.vertices, rng.below(min(t.w, 3) + 1)))
+            pool = list(t.vertices) if rng.below(4) == 0 else sorted(set(t.vertices) - z0)
+            size = rng.below(len(pool) + 1) if rng.below(2) else rng.below(min(len(pool), 2) + 1)
+            yield z0, frozenset(rng.sample(pool, size)), k
+
+
+def test_tree_oracles_answer_masks_and_frozensets_alike():
+    rng = SplitMix64(409)
+    for t in oracle_trees(rng):
+        for oracle in (subtree_oracle(t), brute_oracle(tree_base(t))):
+            for z0, y, k in oracle_queries(rng, t, 2):
+                assert oracle(to_mask(z0), to_mask(y), k) == oracle(z0, y, k)
+
+
+def test_subtree_oracle_matches_brute_oracle_for_every_k():
+    # covers the k-bounded component growth on both branches: from a
+    # non-empty Z0, and the scan over components when Z0 is empty
+    rng = SplitMix64(419)
+    for t in oracle_trees(rng):
+        fast, slow = subtree_oracle(t), brute_oracle(tree_base(t))
+        for z0, y, k in oracle_queries(rng, t, 6):
+            z0m, ym = to_mask(z0), to_mask(y)
+            assert fast(z0m, ym, k) == slow(z0m, ym, k), (t, sorted(z0), sorted(y), k)
 
 
 def test_enumerate_k_subtrees_path():
