@@ -15,7 +15,9 @@ unchanged.  Each stacked row therefore carries a bitset of the pending
 implications whose premise still misses its zeros; a pop jumps over the
 blocked ones with `bit_length`, and a son that gains a zero drops the
 premises holding it in one AND.  Processing order, rows and counters are
-those of imposing every implication in turn.
+those of imposing every implication in turn.  A stacked row also carries
+the feasibility state its admission test returned, so the test of a son
+can update its father's state instead of starting over.
 """
 
 from __future__ import annotations
@@ -101,23 +103,24 @@ def _split(ones, twos, prem, conc):
     """Sons of the row (ones, twos) that the implication (prem, conc) splits:
     its premise misses the row's zeros and its conclusion is not yet forced.
 
-    Returns (ones, twos, e) triples in processing order, e being the element
+    Returns (ones, twos, e, None) in processing order, e being the element
     the son turns to zero: staircase rows over the free premise positions
     ascending, then (when no conclusion position is zero) the row with
-    premise and conclusion forced to one, with e = 0.  An empty list means
-    no member survives the constraint.
+    premise and conclusion forced to one, with e = 0.  The last slot holds
+    the son's feasibility state once it is admitted.  An empty list means no
+    member survives the constraint.
     """
     sons = []
     seen = 0
     free = prem & twos
     while free:
         low = free & -free
-        sons.append((ones | seen, twos & ~(seen | low), low.bit_length()))
+        sons.append((ones | seen, twos & ~(seen | low), low.bit_length(), None))
         seen |= low
         free ^= low
     if not conc & ~(ones | twos):
         forced = prem | conc
-        sons.append((ones | forced, twos & ~forced, 0))
+        sons.append((ones | forced, twos & ~forced, 0, None))
     return sons
 
 
@@ -132,7 +135,7 @@ def candidate_sons(r: Row012, imp: Implication) -> list[Row012]:
     zeros = ((1 << r.w) - 1) & ~(ones | twos)
     if prem & zeros or not conc & ~ones:
         return [Row012(r.w, ones, twos, r.pending + 1)]
-    return [Row012(r.w, o, t, r.pending + 1) for o, t, _ in _split(ones, twos, prem, conc)]
+    return [Row012(r.w, o, t, r.pending + 1) for o, t, _, _ in _split(ones, twos, prem, conc)]
 
 
 def _premise_table(w: int, masks) -> list[int]:
@@ -149,18 +152,27 @@ def _premise_table(w: int, masks) -> list[int]:
     return table
 
 
-def _lifo(
-    family: ImplicationFamily, admit: Callable[[int, int], bool] | None = None
-) -> FinalStack:
-    """The LIFO exclusion loop of both enumerators.  `admit`, when given,
-    vets the root row and each candidate son (ones, twos) before it may be
-    stacked; None admits every row.
+Admit = Callable[[object, int, int, int], object]
 
-    A stacked row is (ones, twos, pending, open): bit i-1 of open is set
-    while implication i is still pending (i >= pending) and its premise
+
+def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
+    """The LIFO exclusion loop of both enumerators.  `admit`, when given,
+    vets the root row and each candidate son before it may be stacked; None
+    admits every row.
+
+    A stacked row is (ones, twos, pending, open, state): bit i-1 of open is
+    set while implication i is still pending (i >= pending) and its premise
     misses the row's zeros.  A pop jumps over the premise-blocked
     carry-overs with bit_length and tests only the conclusions of the open
     implications, one by one.
+
+    state is the row's feasibility state, whatever admit returned for it.
+    admit(state, ones, twos, e) vets the son (ones, twos) of a row with
+    that state, e being the one zero the son gains (a staircase son) or 0
+    (the forced son), and returns the son's state, or None to refuse it;
+    the root is vetted as admit(None, 0, full, 0).  So admit can update the
+    father's state for the son's new ones and its new zero rather than
+    derive it from the whole row.
     """
     w, h = family.w, family.h
     masks = family.masks
@@ -168,9 +180,10 @@ def _lifo(
     impositions = candidates = killed = deletions = 0
     final = []
     full = (1 << w) - 1
-    stack = [(0, full, 1, (1 << h) - 1)] if admit is None or admit(0, full) else []
+    root = () if admit is None else admit(None, 0, full, 0)
+    stack = [] if root is None else [(0, full, 1, (1 << h) - 1, root)]
     while stack:
-        ones, twos, start, open_ = stack.pop()
+        ones, twos, start, open_, state = stack.pop()
         while open_:
             low = open_ & -open_
             open_ ^= low
@@ -184,11 +197,11 @@ def _lifo(
             continue
         impositions += pending - start + 1
         sons = _split(ones, twos, prem, conc)
-        candidates += len(sons)
+        split = len(sons)
+        candidates += split
         if admit is not None:
-            proper = [(o, t, e) for o, t, e in sons if admit(o, t)]
-            killed += len(sons) - len(proper)
-            sons = proper
+            sons = [(o, t, e, s) for o, t, e, _ in sons if (s := admit(state, o, t, e)) is not None]
+            killed += split - len(sons)
         if not sons:
             # no member survives; unreachable under a consistent feasibility
             # filter, since a feasible row keeps at least one son feasible
@@ -196,10 +209,17 @@ def _lifo(
             continue
         # a staircase son gains the zero e, which blocks every premise holding
         # e; the forced son (e = 0) keeps open as it is
-        for o, t, e in reversed(sons):
-            stack.append((o, t, pending + 1, open_ & out_prem[e]))
+        for o, t, e, son_state in reversed(sons):
+            stack.append((o, t, pending + 1, open_ & out_prem[e], son_state))
     stats = EngineStats(impositions, candidates, killed, deletions, len(final))
     return FinalStack(tuple(final), stats)
+
+
+def _lifo_k(family: ImplicationFamily, k: int, admit: Admit) -> FinalStack:
+    """_lifo for the k-element models; refuses k outside 0..w."""
+    if not 0 <= k <= family.w:
+        raise ValueError(f"k must be within 0..{family.w}, got {k}")
+    return _lifo(family, admit)
 
 
 def enumerate_models(family: ImplicationFamily) -> FinalStack:
@@ -245,21 +265,19 @@ def enumerate_k_models(
     - candidate_sons <= (p + 1) * splits, a split being an imposition that
       is not a carry-over: at most p staircase sons and one forced son.
     """
-    w = family.w
-    if not 0 <= k <= w:
-        raise ValueError(f"k must be within 0..{w}, got {k}")
-    full = (1 << w) - 1
+    full = (1 << family.w) - 1
     if closure_mask is None:
         closure_mask = Closer(family).close_mask
 
-    def feasible(ones, twos):
+    def admit(state, ones, twos, e):
+        # stateless: every son is closed and asked about from scratch
         zeros = full & ~(ones | twos)
         z0 = closure_mask(ones)
-        if z0.bit_count() > k or z0 & zeros:
-            return False
-        return bool(oracle(z0, zeros, k))
+        if z0.bit_count() > k or z0 & zeros or not oracle(z0, zeros, k):
+            return None
+        return ()
 
-    return _lifo(family, feasible)
+    return _lifo_k(family, k, admit)
 
 
 def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:

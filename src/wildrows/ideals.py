@@ -1,10 +1,13 @@
 """Order ideals of a poset as models of its cover-implication base.
 
-The feasibility oracle answers fixed-cardinality queries in O(w) mask work:
-every ideal avoiding a forbidden set Y sits inside the complement of the
-filter generated by Y, and because that complement shells down to the
-already-forced ideal one element at a time, every cardinality in between is
-realized.
+Feasibility of a row (ones, zeros) for cardinality k: every ideal avoiding
+the zeros sits inside the complement of the filter they generate, and
+because that complement shells down to the down-closure of the ones one
+element at a time, every cardinality in between is realized.  The k-ideal
+enumerator carries both masks on each stacked row, so vetting a son costs
+O(1) mask operations plus the down-sets of the son's new ones: a staircase
+son adds the up-set of its one new zero to the filter, the forced son the
+down-sets of its new ones to the closure.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from functools import partial
 
 from .core import ImplicationFamily, Poset, to_mask, union_over
-from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
+from .engine import FeasibilityOracle, FinalStack, _lifo_k
 
 
 def natural_base(p: Poset) -> ImplicationFamily:
@@ -34,32 +37,46 @@ def down_closure_mask(p: Poset):
     return partial(union_over, p.down_masks)
 
 
+def _fits(z0: int, filt: int, w: int, k: int | None) -> bool:
+    """Whether a k-element ideal holds the down-set z0 and avoids the
+    up-set filt (k=None: an ideal of any size)."""
+    if z0 & filt:
+        return False
+    return k is None or z0.bit_count() <= k <= w - filt.bit_count()
+
+
 def ideal_oracle(p: Poset) -> FeasibilityOracle:
     """Fixed-cardinality feasibility for ideals.
 
-    For a query (Z0, Y, k) with Z0 an ideal disjoint from Y: the largest
-    ideal avoiding Y is the complement of the filter generated by Y, and a
-    k-element ideal extending Z0 exists iff |Z0| <= k <= |that complement|.
-    Z0 and Y are int masks, as the engine passes them, or frozensets.
+    For a query (ones, zeros, k): with Z0 the down-set generated by the ones
+    and F the filter generated by the zeros, the largest ideal avoiding the
+    zeros is the complement of F, so a k-element ideal extending Z0 exists
+    iff Z0 misses F and |Z0| <= k <= w - |F|.  ones and zeros are int masks
+    or frozensets; O(|ones| + |zeros|) mask operations.
     """
-    up = p.up_masks
-    full = (1 << p.w) - 1
+    down, up, w = p.down_masks, p.up_masks, p.w
 
     def oracle(ones, zeros, k):
-        z0 = to_mask(ones)
-        # Y lies inside its own filter, so this also rejects Z0 meeting Y
-        y_filter = union_over(up, to_mask(zeros))
-        if z0 & y_filter:
-            return False
-        if k is None:
-            return True
-        return z0.bit_count() <= k <= (full & ~y_filter).bit_count()
+        return _fits(union_over(down, to_mask(ones)), union_over(up, to_mask(zeros)), w, k)
 
     return oracle
 
 
 def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
-    """All k-element order ideals of p, each exactly once, as disjoint rows."""
-    return enumerate_k_models(
-        natural_base(p), k, ideal_oracle(p), closure_mask=down_closure_mask(p)
-    )
+    """All k-element order ideals of p, each exactly once, as disjoint rows.
+
+    Each stacked row carries (Z0, F), the down-set of its ones and the
+    filter of its zeros; the rows and counters are those of
+    `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`.
+    """
+    down, up, w = p.down_masks, p.up_masks, p.w
+
+    def admit(state, ones, twos, e):
+        # the root (state None) has no ones and no zeros; up[0] is 0
+        z0, filt = state or (0, 0)
+        if ones & ~z0:
+            z0 |= union_over(down, ones & ~z0)
+        filt |= up[e]
+        return (z0, filt) if _fits(z0, filt, w, k) else None
+
+    return _lifo_k(natural_base(p), k, admit)

@@ -5,14 +5,16 @@ singletons included): any two non-adjacent members force the interior of
 their unique path.  All tree paths come from one table of root-path masks,
 read off the tree's breadth-first traversal from vertex 1 (`Tree.bfs_order`,
 `Tree.bfs_parent`): a base implication's interior is a few mask operations,
-and a Steiner closure takes O(|seed|) of them.  The feasibility oracle needs
-a single traversal of the forbidden-vertex-free forest.
+and a Steiner closure takes O(|seed|) of them.  The feasibility test grows
+one component of the forbidden-vertex-free forest, up to k vertices; the
+k-subtree enumerator carries each stacked row's Steiner accumulators, so a
+son closes only its new ones.
 """
 
 from __future__ import annotations
 
 from .core import GuardError, ImplicationFamily, Tree, from_mask, to_mask, union_over
-from .engine import FeasibilityOracle, FinalStack, enumerate_k_models
+from .engine import FeasibilityOracle, FinalStack, _lifo_k
 
 # Largest total written length tree_base will build.  Building it peaks
 # (tracemalloc, CPython 3.11) at 2.9 bytes per element on the 287-vertex path
@@ -97,6 +99,19 @@ def tree_base(t: Tree) -> ImplicationFamily:
     return ImplicationFamily.from_masks(t.w, pairs)
 
 
+def _steiner(up, tip, union: int, common: int, seed: int) -> tuple[int, int, int]:
+    """Extend the OR (union) and AND (common) of root paths by the seed's
+    vertices; returns them with the closure they span.  Start from
+    (0, -1); the closure of no vertex is empty."""
+    while seed:
+        low = seed & -seed
+        v = low.bit_length()
+        union |= up[v]
+        common &= up[v]
+        seed ^= low
+    return union, common, (union & ~common | tip[common] if union else 0)
+
+
 def steiner_closure_mask(t: Tree):
     """Mask-level minimal-spanning-subtree closure.
 
@@ -109,17 +124,7 @@ def steiner_closure_mask(t: Tree):
     up, tip = _path_table(t)
 
     def close_mask(seed: int) -> int:
-        if not seed:
-            return 0
-        union = 0
-        common = -1
-        while seed:
-            low = seed & -seed
-            v = low.bit_length()
-            union |= up[v]
-            common &= up[v]
-            seed ^= low
-        return union & ~common | tip[common]
+        return _steiner(up, tip, 0, -1, seed)[2]
 
     return close_mask
 
@@ -141,40 +146,44 @@ def _component(seed: int, allowed: int, neighbor_masks, k: int) -> int:
     return comp
 
 
+def _fits(z0: int, zeros: int, full: int, nbr, k: int | None) -> bool:
+    """Whether a k-vertex subtree holds the subtree z0 and avoids the
+    zeros (k=None: a subtree of any size)."""
+    if z0 & zeros:
+        return False
+    if k is None:
+        return True
+    forest = full & ~zeros
+    if z0:
+        return z0.bit_count() <= k and _component(z0, forest, nbr, k).bit_count() >= k
+    if k == 0:
+        return True
+    rest = forest
+    while rest:
+        comp = _component(rest & -rest, forest, nbr, k)
+        if comp.bit_count() >= k:
+            return True
+        rest &= ~comp
+    return False
+
+
 def subtree_oracle(t: Tree) -> FeasibilityOracle:
     """Fixed-cardinality feasibility for subtrees.
 
-    Remove the forbidden vertices; a k-element subtree extending a connected
-    Z0 exists iff Z0 is not larger than k and its component in the remaining
-    forest has at least k vertices (for empty Z0: some component does, or
-    k = 0).  Z0 and the forbidden set are int masks, as the engine passes
-    them, or frozensets.  A component is grown only until it reaches k
-    vertices; a component cut short that way already answers True.
+    Close the ones to the smallest subtree Z0 holding them and remove the
+    forbidden vertices; a k-element subtree extending Z0 exists iff Z0 is
+    not larger than k and its component in the remaining forest has at
+    least k vertices (for empty Z0: some component does, or k = 0).  ones
+    and the forbidden set are int masks or frozensets.  A component is
+    grown only until it reaches k vertices; a component cut short that way
+    already answers True.
     """
+    close = steiner_closure_mask(t)
     nbr = t.neighbor_masks
     full = (1 << t.w) - 1
 
     def oracle(ones, zeros, k):
-        z0 = to_mask(ones)
-        y = to_mask(zeros)
-        if z0 & y:
-            return False
-        forest = full & ~y
-        if k is None:
-            return True
-        if z0:
-            if z0.bit_count() > k:
-                return False
-            return _component(z0, forest, nbr, k).bit_count() >= k
-        if k == 0:
-            return True
-        rest = forest
-        while rest:
-            comp = _component(rest & -rest, forest, nbr, k)
-            if comp.bit_count() >= k:
-                return True
-            rest &= ~comp
-        return False
+        return _fits(close(to_mask(ones)), to_mask(zeros), full, nbr, k)
 
     return oracle
 
@@ -182,7 +191,24 @@ def subtree_oracle(t: Tree) -> FeasibilityOracle:
 def enumerate_k_subtrees(t: Tree, k: int) -> FinalStack:
     """All k-vertex subtrees of t, each exactly once, as disjoint rows.
 
-    k=0 yields the empty set, k=1 all singletons (both count as subtrees)."""
-    return enumerate_k_models(
-        tree_base(t), k, subtree_oracle(t), closure_mask=steiner_closure_mask(t)
-    )
+    k=0 yields the empty set, k=1 all singletons (both count as subtrees).
+    Each stacked row carries the Steiner accumulators of its ones and their
+    closure, so a son pays root paths only for its ones outside that
+    closure; the rows and counters are those of `enumerate_k_models` with
+    `subtree_oracle` and `steiner_closure_mask`.
+    """
+    family = tree_base(t)
+    up, tip = _path_table(t)
+    nbr = t.neighbor_masks
+    full = (1 << t.w) - 1
+
+    def admit(state, ones, twos, e):
+        # the root (state None) has no ones; a vertex inside the closure
+        # already lies on the union and below the common path, so it leaves
+        # both accumulators unchanged
+        union, common, z0 = state or (0, -1, 0)
+        if ones & ~z0:
+            union, common, z0 = _steiner(up, tip, union, common, ones & ~z0)
+        return (union, common, z0) if _fits(z0, full & ~(ones | twos), full, nbr, k) else None
+
+    return _lifo_k(family, k, admit)

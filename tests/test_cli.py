@@ -386,6 +386,25 @@ def test_exit_guard_violation_tree_base(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("argv, w, k", [
+    (("ideals", "chain3.poset", "--k", "-1"), 3, -1),
+    (("ideals", "chain3.poset", "--k", "4"), 3, 4),
+    (("subtrees", "path3.tree", "--k", "-1"), 3, -1),
+    (("subtrees", "path3.tree", "--k", "4"), 3, 4),
+])
+def test_exit_k_out_of_range(files, capsys, argv, w, k):
+    cmd, name, *rest = argv
+    assert run(capsys, cmd, files[name], *rest) == (1, "", f"error: k must be within 0..{w}, got {k}\n")
+
+
+def test_exit_guard_violation_tree_base_before_k_range(tmp_path, capsys):
+    path = tmp_path / "path.tree"
+    path.write_text(format_tree(Tree.path_graph(288)))
+    assert run(capsys, "subtrees", str(path), "--k", "289") == (
+        3, "", "error: tree base too large: 4022018 elements for w=288, limit 4000000\n"
+    )
+
+
 def test_exit_failed_write_to_out(tmp_path, capsys):
     missing = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "gen", "tree", "--w", "5", "--seed", "1", "--out", str(missing))

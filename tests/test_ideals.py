@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from conftest import random_poset
 
 from wildrows import (
@@ -134,6 +135,35 @@ def test_ideal_oracles_answer_masks_and_frozensets_alike():
                 assert slow(z0m, ym, k) == answer
                 assert fast(z0, y, k) == answer
                 assert fast(z0m, ym, k) == answer
+
+
+def test_ideal_oracle_closes_its_ones_first():
+    # {2} is not an ideal of the chain 1 < 2; the only ideal holding 2 is {1,2}
+    oracle = ideal_oracle(Poset.chain(2))
+    assert oracle(0b10, 0, 1) is False
+    assert oracle(0b10, 0b01, None) is False
+    assert oracle(0b10, 0, 2) is True
+
+
+def test_ideal_oracle_matches_brute_oracle_on_unclosed_ones():
+    # ones and zeros are arbitrary sets, for every k and for None
+    rng = SplitMix64(433)
+    posets = [Poset(1, []), Poset.chain(5), Poset.antichain(4)]
+    posets += [random_poset(rng, 2 + rng.below(11)) for _ in range(12)]
+    for p in posets:
+        fast, slow = ideal_oracle(p), brute_oracle(natural_base(p))
+        for k in (None, *range(p.w + 1)):
+            for _ in range(4):
+                ones = to_mask(rng.sample(range(1, p.w + 1), rng.below(min(p.w, 3) + 1)))
+                zeros = to_mask(rng.sample(range(1, p.w + 1), rng.below(min(p.w, 3) + 1))) & ~ones
+                assert fast(ones, zeros, k) == slow(ones, zeros, k), (p, ones, zeros, k)
+
+
+@pytest.mark.parametrize("k", [-1, 6])
+def test_enumerate_k_ideals_k_range_error(k):
+    with pytest.raises(ValueError) as info:
+        enumerate_k_ideals(Poset.chain(5), k)
+    assert str(info.value) == f"k must be within 0..5, got {k}"
 
 
 def test_enumerate_k_ideals_chain():

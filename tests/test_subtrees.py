@@ -185,6 +185,34 @@ def test_subtree_oracle_matches_brute_oracle_for_every_k():
             assert fast(z0m, ym, k) == slow(z0m, ym, k), (t, sorted(z0), sorted(y), k)
 
 
+def test_subtree_oracle_closes_its_ones_first():
+    # on the path 1-2-3-4 every subtree holding 1 and 3 holds 2
+    oracle = subtree_oracle(Tree.path_graph(4))
+    assert oracle(0b101, 0b010, 2) is False
+    assert oracle(0b101, 0b010, None) is False
+    assert oracle(0b101, 0, 2) is False
+    assert oracle(0b101, 0b1000, 3) is True
+
+
+def test_subtree_oracle_matches_brute_oracle_on_unclosed_ones():
+    # ones and zeros are arbitrary vertex sets, for every k and for None
+    rng = SplitMix64(439)
+    for t in oracle_trees(rng):
+        fast, slow = subtree_oracle(t), brute_oracle(tree_base(t))
+        for k in (None, 0, *t.vertices):
+            for _ in range(4):
+                ones = to_mask(rng.sample(t.vertices, rng.below(min(t.w, 3) + 1)))
+                zeros = to_mask(rng.sample(t.vertices, rng.below(min(t.w, 3) + 1))) & ~ones
+                assert fast(ones, zeros, k) == slow(ones, zeros, k), (t, ones, zeros, k)
+
+
+@pytest.mark.parametrize("k", [-1, 7])
+def test_enumerate_k_subtrees_k_range_error(k):
+    with pytest.raises(ValueError) as info:
+        enumerate_k_subtrees(Tree.path_graph(6), k)
+    assert str(info.value) == f"k must be within 0..6, got {k}"
+
+
 def test_enumerate_k_subtrees_path():
     assert sets_of(enumerate_k_subtrees(Tree.path_graph(3), 2).sets(2)) == [(1, 2), (2, 3)]
 
