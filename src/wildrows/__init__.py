@@ -2,48 +2,17 @@
 ideals and subtrees, plus Whitney numbers of the associated ideal lattices
 by two independent methods."""
 
+from types import ModuleType as _ModuleType
+
 from .abrows import ab_enumerate, ab_impose, cardinality_poly, rows_poly, whitney
-from .bench import (
-    BenchReport,
-    BenchRow,
-    LayeredSpec,
-    SplitMix64,
-    brute_ideals,
-    brute_models,
-    brute_rank_poly,
-    brute_subtrees,
-    gen_layered_poset,
-    gen_random_tree,
-    run_bench,
-    subtree_count,
-)
 from .closure import Closer, close, is_model
 from .core import (
-    Bundle,
-    GuardError,
-    Implication,
-    ImplicationFamily,
-    InputError,
-    Poset,
-    RankPolynomial,
-    Row012,
-    RowAB,
-    Tree,
-    parse_row,
-    render_row,
-    row012_count,
-    row012_list_k,
-    row012_members,
-    rowab_count,
+    Bundle, GuardError, Implication, ImplicationFamily, InputError, Poset, RankPolynomial, Row012,
+    RowAB, Tree, parse_row, render_row, row012_count, row012_list_k, row012_members, rowab_count,
     rowab_members,
 )
 from .engine import (
-    EngineStats,
-    FeasibilityOracle,
-    FinalStack,
-    brute_oracle,
-    candidate_sons,
-    enumerate_k_models,
+    EngineStats, FeasibilityOracle, FinalStack, brute_oracle, candidate_sons, enumerate_k_models,
     enumerate_models,
 )
 from .ideals import enumerate_k_ideals, ideal_oracle, natural_base
@@ -52,58 +21,20 @@ from .subtrees import enumerate_k_subtrees, steiner_closure, subtree_oracle, tre
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bundle",
-    "BenchReport",
-    "BenchRow",
-    "Closer",
-    "EngineStats",
-    "FeasibilityOracle",
-    "FinalStack",
-    "GuardError",
-    "Implication",
-    "ImplicationFamily",
-    "InputError",
-    "LayeredSpec",
-    "Poset",
-    "RankPolynomial",
-    "Row012",
-    "RowAB",
-    "SplitMix64",
-    "Tree",
-    "ab_enumerate",
-    "ab_impose",
-    "brute_ideals",
-    "brute_models",
-    "brute_oracle",
-    "brute_rank_poly",
-    "brute_subtrees",
-    "candidate_sons",
-    "cardinality_poly",
-    "close",
-    "enumerate_k_ideals",
-    "enumerate_k_models",
-    "enumerate_k_subtrees",
-    "enumerate_models",
-    "gen_layered_poset",
-    "gen_random_tree",
-    "ideal_oracle",
-    "is_model",
-    "natural_base",
-    "parse_row",
-    "pick_pivot",
-    "rank_poly_recursive",
-    "render_row",
-    "row012_count",
-    "row012_list_k",
-    "row012_members",
-    "rows_poly",
-    "rowab_count",
-    "rowab_members",
-    "run_bench",
-    "steiner_closure",
-    "subtree_count",
-    "subtree_oracle",
-    "tree_base",
-    "whitney",
-]
+# bench (instance generators, brute-force references and the method
+# harness) serves only the gen and bench subcommands, so it is imported on
+# first use of one of its names (PEP 562) and query calls do not load it
+_BENCH_NAMES = frozenset("""BenchReport BenchRow LayeredSpec SplitMix64 brute_ideals
+    brute_models brute_rank_poly brute_subtrees gen_layered_poset gen_random_tree run_bench
+    subtree_count""".split())
+
+__all__ = sorted(_BENCH_NAMES.union(
+    n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)))
+
+
+def __getattr__(name):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

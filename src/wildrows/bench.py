@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass
 from time import perf_counter
 
 from .abrows import ab_enumerate, rows_poly
@@ -21,6 +20,7 @@ from .core import (
     InputError,
     Poset,
     RankPolynomial,
+    Record,
     Tree,
     bit_positions,
     from_mask,
@@ -77,21 +77,18 @@ class SplitMix64:
         return pool[:t]
 
 
-@dataclass(frozen=True)
-class LayeredSpec:
+class LayeredSpec(Record):
     """Layered random poset parameters: l levels of width m, each non-bottom
     element covering t distinct elements of the level below."""
 
-    m: int
-    l: int
-    t: int
-    seed: int
+    __slots__ = ("m", "l", "t", "seed")
 
-    def __post_init__(self):
-        if self.m < 1 or self.l < 1:
-            raise InputError(f"need m >= 1 and l >= 1, got m={self.m} l={self.l}")
-        if not 0 <= self.t <= self.m:
-            raise InputError(f"need 0 <= t <= m, got t={self.t} m={self.m}")
+    def __init__(self, m: int, l: int, t: int, seed: int):
+        if m < 1 or l < 1:
+            raise InputError(f"need m >= 1 and l >= 1, got m={m} l={l}")
+        if not 0 <= t <= m:
+            raise InputError(f"need 0 <= t <= m, got t={t} m={m}")
+        self._set(m, l, t, seed)
 
     @property
     def w(self) -> int:
@@ -232,21 +229,19 @@ def subtree_count(t: Tree) -> int:
 # ---------------------------------------------------------------------------
 # comparison harness
 
-@dataclass(frozen=True)
-class BenchRow:
-    spec: LayeredSpec
-    n: int
-    r: int
-    time_ab_ms: float
-    nsum: int
-    time_rec_ms: float
-    agree: bool
-    timed_out: bool = False
+class BenchRow(Record):
+    __slots__ = ("spec", "n", "r", "time_ab_ms", "nsum", "time_rec_ms", "agree", "timed_out")
+
+    def __init__(self, spec: LayeredSpec, n: int, r: int, time_ab_ms: float, nsum: int,
+                 time_rec_ms: float, agree: bool, timed_out: bool = False):
+        self._set(spec, n, r, time_ab_ms, nsum, time_rec_ms, agree, timed_out)
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
+class BenchReport(Record):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[BenchRow, ...]):
+        self._set(rows)
 
     def table(self) -> str:
         header = ["(m,l,t)", "N", "R", "time-ab[ms]", "nsum", "time-rec[ms]", "agree"]

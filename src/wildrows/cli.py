@@ -26,7 +26,8 @@ operating-system error.  A reader that closes stdout early ends the
 stderr.
 
 Every subcommand reads its file through `_read` and does its work or raises;
-`main` alone prints "error: ..." and picks the exit code.
+`main` alone prints "error: ..." and picks the exit code.  Only gen and
+bench import `bench`, so the query subcommands do not load it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import sys
 from pathlib import Path
 
 from .abrows import ab_enumerate, rows_poly
-from .bench import LayeredSpec, gen_layered_poset, gen_random_tree, run_bench
 from .core import (
     GuardError,
     Implication,
@@ -146,7 +146,10 @@ def format_tree(t: Tree, comment: str = "") -> str:
     return _format_pairs("tree", t.w, t.edges, comment)
 
 
-def parse_bench_specs(text: str) -> list[LayeredSpec]:
+def parse_bench_specs(text: str) -> list:
+    """The LayeredSpec of each "m l t seed" line."""
+    from .bench import LayeredSpec
+
     specs = []
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
@@ -243,6 +246,8 @@ def _cmd_whitney(args) -> None:
 
 
 def _cmd_gen(args) -> None:
+    from .bench import LayeredSpec, gen_layered_poset, gen_random_tree
+
     if args.kind == "poset":
         _check_universe(args.m * args.l, "gen poset")
         spec = LayeredSpec(args.m, args.l, args.t, args.seed)
@@ -263,6 +268,8 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_bench(args) -> None:
+    from .bench import run_bench
+
     specs = parse_bench_specs(_read(args.spec))
     report = run_bench(specs, workers=args.threads, timeout_s=args.timeout)
     if args.machine:

@@ -11,7 +11,6 @@ import heapq
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -64,10 +63,53 @@ def union_over(table, mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# records
+
+_setattr = object.__setattr__  # a global name: the fastest to call, per field set
+
+
+class Record:
+    """Base of the immutable value types.  A subclass lists its fields in
+    `__slots__`, in constructor order, and sets them in `__init__`, with
+    `_set` or `_setattr`.  Two records are equal when they are of one class
+    and their fields are; the hash is that of the field tuple.  Pickle and
+    copy rebuild a record through its constructor."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # implications
 
-@dataclass(frozen=True)
-class Implication:
+class Implication(Record):
     """A premise -> conclusion constraint: a set satisfies it when it either
     misses part of the premise or contains the whole conclusion.
 
@@ -77,13 +119,11 @@ class Implication:
     every satisfying set.
     """
 
-    premise: frozenset[int]
-    conclusion: frozenset[int]
+    __slots__ = ("premise", "conclusion")
 
-    def __post_init__(self):
-        prem = frozenset(self.premise)
-        object.__setattr__(self, "premise", prem)
-        object.__setattr__(self, "conclusion", frozenset(self.conclusion) - prem)
+    def __init__(self, premise: Iterable[int], conclusion: Iterable[int]):
+        premise = frozenset(premise)
+        self._set(premise, frozenset(conclusion) - premise)
 
     @property
     def length(self) -> int:
@@ -95,18 +135,15 @@ class Implication:
         return f"{p}->{c}"
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ImplicationFamily:
+class ImplicationFamily(Record):
     """An ordered list of implications over the universe 1..w.
 
     Order matters: the enumeration engines impose members in list order, and
     the produced row stacks depend on it deterministically.  The family
     stores one (premise_mask, conclusion_mask) pair per implication, and
-    equality compares these; the Implication objects are built on access.
+    equality compares these; the Implication objects are built on access
+    and cached in the instance `__dict__` (so the class has no `__slots__`).
     """
-
-    w: int
-    masks: tuple[tuple[int, int], ...]
 
     def __init__(self, w: int, implications: Iterable[Implication]):
         if w < 0:
@@ -118,8 +155,14 @@ class ImplicationFamily:
                 if not 1 <= e <= w:
                     raise InputError(f"element {e} outside universe 1..{w}")
             masks.append((to_mask(imp.premise), to_mask(imp.conclusion)))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "masks", tuple(masks))
+        _setattr(self, "w", w)
+        _setattr(self, "masks", tuple(masks))
+
+    def _values(self) -> tuple:
+        return self.w, self.masks
+
+    def __reduce__(self):
+        return type(self).from_masks, self._values()
 
     @classmethod
     def from_masks(cls, w: int, masks: Iterable[tuple[int, int]]) -> "ImplicationFamily":
@@ -130,7 +173,7 @@ class ImplicationFamily:
         for prem, conc in pairs:
             if (prem | conc) >> w:
                 raise InputError(f"element {(prem | conc).bit_length()} outside universe 1..{w}")
-        object.__setattr__(family, "masks", pairs)
+        _setattr(family, "masks", pairs)
         return family
 
     @cached_property
@@ -161,18 +204,24 @@ class ImplicationFamily:
 # ---------------------------------------------------------------------------
 # wildcard rows
 
-class WildRow:
+class WildRow(Record):
     """What the {0,1,2} and {0,1,2,a,b} rows share: a length-w row whose
     ones and twos are masks, the rest of its positions being zeros and, in
-    a RowAB, bundle positions.  Subclasses are frozen dataclasses with the
-    fields w, ones_mask and twos_mask first; they define `zeros_mask`,
-    `entries` (one token per position) and membership."""
+    a RowAB, bundle positions.  Subclasses are records with the fields w,
+    ones_mask and twos_mask first and a bookkeeping field last, outside ==
+    and hash; they define `zeros_mask`, `entries` and membership."""
 
-    def __post_init__(self):
-        if (self.ones_mask | self.twos_mask) & ~((1 << self.w) - 1):
+    __slots__ = ()
+
+    def _set_masks(self, w: int, ones_mask: int, twos_mask: int):
+        """Check and set the fields the two row types share."""
+        if (ones_mask | twos_mask) & ~((1 << w) - 1):
             raise InputError("row mask outside universe")
-        if self.ones_mask & self.twos_mask:
+        if ones_mask & twos_mask:
             raise InputError("ones and twos overlap")
+        _setattr(self, "w", w)
+        _setattr(self, "ones_mask", ones_mask)
+        _setattr(self, "twos_mask", twos_mask)
 
     @classmethod
     def full(cls, w: int):
@@ -195,7 +244,6 @@ class WildRow:
         return f"{type(self).__name__}({render_row(self)})"
 
 
-@dataclass(frozen=True, repr=False)
 class Row012(WildRow):
     """A length-w row over {0,1,2} encoding the interval of all sets X with
     ones ⊆ X ⊆ ones ∪ twos; entry 2 marks a free ("don't care") position.
@@ -204,10 +252,19 @@ class Row012(WildRow):
     impose) and does not take part in equality.
     """
 
-    w: int
-    ones_mask: int
-    twos_mask: int
-    pending: int = field(default=1, compare=False)
+    __slots__ = ("w", "ones_mask", "twos_mask", "pending")
+
+    def __init__(self, w: int, ones_mask: int, twos_mask: int, pending: int = 1):
+        self._set_masks(w, ones_mask, twos_mask)
+        _setattr(self, "pending", pending)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.w, self.ones_mask, self.twos_mask) == (other.w, other.ones_mask, other.twos_mask)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.w, self.ones_mask, self.twos_mask))
 
     @classmethod
     def from_entries(cls, entries: Iterable[int], pending: int = 1) -> "Row012":
@@ -279,7 +336,6 @@ class Bundle(NamedTuple):
     conc_mask: int
 
 
-@dataclass(frozen=True, repr=False)
 class RowAB(WildRow):
     """A length-w row over {0,1,2,a(i),b(i)}: zeros, ones, twos plus
     premise/conclusion bundles partition the positions.
@@ -291,34 +347,41 @@ class RowAB(WildRow):
     are never reused); it does not take part in equality.
     """
 
-    w: int
-    ones_mask: int
-    twos_mask: int
-    bundles: tuple[Bundle, ...] = ()
-    next_bundle: int = field(default=0, compare=False)
+    __slots__ = ("w", "ones_mask", "twos_mask", "bundles", "next_bundle")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bundles", tuple(sorted(self.bundles, key=lambda b: b.bid)))
-        super().__post_init__()
-        used = self.ones_mask | self.twos_mask
+    def __init__(self, w: int, ones_mask: int, twos_mask: int,
+                 bundles: Iterable[Bundle] = (), next_bundle: int = 0):
+        bundles = tuple(sorted(bundles, key=lambda b: b.bid))
+        self._set_masks(w, ones_mask, twos_mask)
+        _setattr(self, "bundles", bundles)
+        used = ones_mask | twos_mask
         seen_ids = set()
-        for b in self.bundles:
+        for b in bundles:
             if b.bid in seen_ids:
                 raise InputError(f"duplicate bundle id {b.bid}")
             seen_ids.add(b.bid)
             if not b.conc_mask:
                 raise InputError(f"bundle {b.bid} has an empty conclusion")
             pm = 1 << (b.prem - 1)
-            if (pm | b.conc_mask) >> self.w:
+            if (pm | b.conc_mask) >> w:
                 raise InputError("bundle position outside universe")
             if pm & b.conc_mask:
                 raise InputError(f"bundle {b.bid} premise inside its conclusion")
             if (pm | b.conc_mask) & used:
                 raise InputError("bundle positions overlap other row parts")
             used |= pm | b.conc_mask
-        if self.next_bundle <= 0:
-            nxt = max((b.bid for b in self.bundles), default=0) + 1
-            object.__setattr__(self, "next_bundle", nxt)
+        if next_bundle <= 0:
+            next_bundle = max((b.bid for b in bundles), default=0) + 1
+        _setattr(self, "next_bundle", next_bundle)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.w == other.w and self.ones_mask == other.ones_mask
+                    and self.twos_mask == other.twos_mask and self.bundles == other.bundles)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.w, self.ones_mask, self.twos_mask, self.bundles))
 
     @property
     def zeros_mask(self) -> int:
@@ -724,21 +787,20 @@ def poly_mul(a, b) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class RankPolynomial:
+class RankPolynomial(Record):
     """A polynomial with nonnegative arbitrary-precision integer coefficients,
     used for per-cardinality counting: coefficient k counts the k-element
     objects.  Evaluation at 1 is the total count."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients: Iterable[int]):
+        coeffs = tuple(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
-        object.__setattr__(self, "coefficients", coeffs)
+        _setattr(self, "coefficients", coeffs)
 
     @classmethod
     def zero(cls) -> "RankPolynomial":

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .closure import Closer, is_model_mask, premise_index
@@ -32,6 +31,7 @@ from .core import (
     GuardError,
     Implication,
     ImplicationFamily,
+    Record,
     Row012,
     from_mask,
     row012_count,
@@ -51,8 +51,7 @@ FeasibilityOracle = Callable[[int, int, Optional[int]], bool]
 BRUTE_ORACLE_MAX_W = 24
 
 
-@dataclass
-class EngineStats:
+class EngineStats(Record):
     """Work counters of one run.
 
     impositions counts every constraint imposed on a row, carry-overs
@@ -61,22 +60,28 @@ class EngineStats:
     the rows produced by genuine splits (unchanged carry-overs are not
     re-counted); killed_candidates the sons rejected by the feasibility
     test; wasteful_deletions the stacked rows discarded with no surviving
-    member (always 0 in the deletion-free variant).
+    member (always 0 in the deletion-free variant).  Unlike the other
+    records, the counters can be reassigned, and so are not hashable.
     """
 
-    impositions: int = 0
-    candidate_sons: int = 0
-    killed_candidates: int = 0
-    wasteful_deletions: int = 0
-    final_row_count: int = 0
+    __slots__ = ("impositions", "candidate_sons", "killed_candidates", "wasteful_deletions",
+                 "final_row_count")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, impositions: int = 0, candidate_sons: int = 0, killed_candidates: int = 0,
+                 wasteful_deletions: int = 0, final_row_count: int = 0):
+        self._set(impositions, candidate_sons, killed_candidates, wasteful_deletions, final_row_count)
 
 
-@dataclass(frozen=True)
-class FinalStack:
+class FinalStack(Record):
     """Outcome of a run: pairwise disjoint rows plus run statistics."""
 
-    rows: tuple[Row012, ...]
-    stats: EngineStats
+    __slots__ = ("rows", "stats")
+
+    def __init__(self, rows: tuple[Row012, ...], stats: EngineStats):
+        self._set(rows, stats)
 
     def model_count(self) -> int:
         return sum(row012_count(r) for r in self.rows)

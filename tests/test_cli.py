@@ -340,6 +340,69 @@ def test_import_loads_neither_numpy_nor_process_pools():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+BENCH_NAMES = ("BenchReport BenchRow LayeredSpec SplitMix64 brute_ideals brute_models "
+               "brute_rank_poly brute_subtrees gen_layered_poset gen_random_tree run_bench "
+               "subtree_count").split()
+PUBLIC_NAMES = BENCH_NAMES + (
+    "Bundle Closer EngineStats FeasibilityOracle FinalStack GuardError Implication "
+    "ImplicationFamily InputError Poset RankPolynomial Row012 RowAB Tree ab_enumerate ab_impose "
+    "brute_oracle candidate_sons cardinality_poly close enumerate_k_ideals enumerate_k_models "
+    "enumerate_k_subtrees enumerate_models ideal_oracle is_model natural_base parse_row "
+    "pick_pivot rank_poly_recursive render_row row012_count row012_list_k row012_members "
+    "rows_poly rowab_count rowab_members steiner_closure subtree_oracle tree_base whitney").split()
+
+
+def test_import_loads_neither_dataclasses_nor_bench():
+    # the query subcommands need neither: dataclasses pulls in inspect, and
+    # bench (instance generators, brute force, the method harness) only
+    # serves gen and bench
+    done = run_cold("-c", "import sys, wildrows, wildrows.cli; "
+                    "print(sorted({'dataclasses', 'wildrows.bench'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_bench_names_resolve_from_a_cold_package():
+    script = f"""
+import sys, wildrows
+names = {BENCH_NAMES!r}
+assert 'wildrows.bench' not in sys.modules
+from wildrows import LayeredSpec
+import wildrows.bench as bench
+assert LayeredSpec is bench.LayeredSpec
+assert all(getattr(wildrows, n) is getattr(bench, n) for n in names)
+star = {{}}
+exec('from wildrows import *', star)
+assert all(star[n] is getattr(bench, n) for n in names)
+assert set(star) - {{'__builtins__'}} == set(wildrows.__all__)
+try:
+    wildrows.no_such_name
+except AttributeError as e:
+    print(e)
+print(sorted(wildrows.__all__))
+"""
+    done = run_cold("-c", script)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"module 'wildrows' has no attribute 'no_such_name'\n{sorted(PUBLIC_NAMES)}\n"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wildrows.no_such_name
+
+
+def test_gen_and_bench_run_cold(tmp_path, capsys):
+    spec = tmp_path / "bench.spec"
+    spec.write_text("2 3 1 5\n")
+    for argv in (["gen", "poset", "--m", "3", "--l", "2", "--t", "2", "--seed", "11"],
+                 ["gen", "tree", "--w", "7", "--seed", "5"],
+                 ["bench", "--spec", str(spec), "--machine"]):
+        done = run_cold("-m", "wildrows", *argv)
+        code, out, err = run(capsys, *argv)
+        assert (done.returncode, done.stderr) == (code, err) == (0, "")
+        if argv[0] == "gen":
+            assert done.stdout == out
+        else:  # timings differ between runs
+            cold, warm = done.stdout.split("\t"), out.split("\t")
+            assert cold[:6] + cold[7:8] + cold[9:] == warm[:6] + warm[7:8] + warm[9:]
+
+
 def test_subtrees_refuses_oversized_tree_base(tmp_path):
     # a 4096-path passes the universe limit, but its subtree base would
     # hold about 1.1e10 elements: refused before it is built
