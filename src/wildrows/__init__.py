@@ -7,12 +7,31 @@ from types import ModuleType as _ModuleType
 from .abrows import ab_enumerate, ab_impose, cardinality_poly, rows_poly, whitney
 from .closure import Closer, close, is_model
 from .core import (
-    Bundle, GuardError, Implication, ImplicationFamily, InputError, Poset, RankPolynomial, Row012,
-    RowAB, Tree, parse_row, render_row, row012_count, row012_list_k, row012_members, rowab_count,
+    Bundle,
+    GuardError,
+    Implication,
+    ImplicationFamily,
+    InputError,
+    Poset,
+    RankPolynomial,
+    Row012,
+    RowAB,
+    Tree,
+    parse_row,
+    render_row,
+    row012_count,
+    row012_list_k,
+    row012_members,
+    rowab_count,
     rowab_members,
 )
 from .engine import (
-    EngineStats, FeasibilityOracle, FinalStack, brute_oracle, candidate_sons, enumerate_k_models,
+    EngineStats,
+    FeasibilityOracle,
+    FinalStack,
+    brute_oracle,
+    candidate_sons,
+    enumerate_k_models,
     enumerate_models,
 )
 from .ideals import enumerate_k_ideals, ideal_oracle, natural_base

@@ -22,6 +22,7 @@ from .core import (
     RankPolynomial,
     Record,
     Tree,
+    _setattr,
     bit_positions,
     from_mask,
     union_over,
@@ -88,7 +89,10 @@ class LayeredSpec(Record):
             raise InputError(f"need m >= 1 and l >= 1, got m={m} l={l}")
         if not 0 <= t <= m:
             raise InputError(f"need 0 <= t <= m, got t={t} m={m}")
-        self._set(m, l, t, seed)
+        _setattr(self, "m", m)
+        _setattr(self, "l", l)
+        _setattr(self, "t", t)
+        _setattr(self, "seed", seed)
 
     @property
     def w(self) -> int:
@@ -234,14 +238,21 @@ class BenchRow(Record):
 
     def __init__(self, spec: LayeredSpec, n: int, r: int, time_ab_ms: float, nsum: int,
                  time_rec_ms: float, agree: bool, timed_out: bool = False):
-        self._set(spec, n, r, time_ab_ms, nsum, time_rec_ms, agree, timed_out)
+        _setattr(self, "spec", spec)
+        _setattr(self, "n", n)
+        _setattr(self, "r", r)
+        _setattr(self, "time_ab_ms", time_ab_ms)
+        _setattr(self, "nsum", nsum)
+        _setattr(self, "time_rec_ms", time_rec_ms)
+        _setattr(self, "agree", agree)
+        _setattr(self, "timed_out", timed_out)
 
 
 class BenchReport(Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[BenchRow, ...]):
-        self._set(rows)
+        _setattr(self, "rows", rows)
 
     def table(self) -> str:
         header = ["(m,l,t)", "N", "R", "time-ab[ms]", "nsum", "time-rec[ms]", "agree"]

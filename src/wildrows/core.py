@@ -70,16 +70,12 @@ _setattr = object.__setattr__  # a global name: the fastest to call, per field s
 
 class Record:
     """Base of the immutable value types.  A subclass lists its fields in
-    `__slots__`, in constructor order, and sets them in `__init__`, with
-    `_set` or `_setattr`.  Two records are equal when they are of one class
-    and their fields are; the hash is that of the field tuple.  Pickle and
-    copy rebuild a record through its constructor."""
+    `__slots__`, in constructor order, and sets each in `__init__` with
+    `_setattr`.  Two records are equal when they are of one class and their
+    fields are; the hash is that of the field tuple.  Pickle and copy
+    rebuild a record through its constructor."""
 
     __slots__ = ()
-
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -123,7 +119,8 @@ class Implication(Record):
 
     def __init__(self, premise: Iterable[int], conclusion: Iterable[int]):
         premise = frozenset(premise)
-        self._set(premise, frozenset(conclusion) - premise)
+        _setattr(self, "premise", premise)
+        _setattr(self, "conclusion", frozenset(conclusion) - premise)
 
     @property
     def length(self) -> int:

@@ -33,6 +33,7 @@ from .core import (
     ImplicationFamily,
     Record,
     Row012,
+    _setattr,
     from_mask,
     row012_count,
     row012_k_members,
@@ -72,7 +73,11 @@ class EngineStats(Record):
 
     def __init__(self, impositions: int = 0, candidate_sons: int = 0, killed_candidates: int = 0,
                  wasteful_deletions: int = 0, final_row_count: int = 0):
-        self._set(impositions, candidate_sons, killed_candidates, wasteful_deletions, final_row_count)
+        _setattr(self, "impositions", impositions)
+        _setattr(self, "candidate_sons", candidate_sons)
+        _setattr(self, "killed_candidates", killed_candidates)
+        _setattr(self, "wasteful_deletions", wasteful_deletions)
+        _setattr(self, "final_row_count", final_row_count)
 
 
 class FinalStack(Record):
@@ -81,7 +86,8 @@ class FinalStack(Record):
     __slots__ = ("rows", "stats")
 
     def __init__(self, rows: tuple[Row012, ...], stats: EngineStats):
-        self._set(rows, stats)
+        _setattr(self, "rows", rows)
+        _setattr(self, "stats", stats)
 
     def model_count(self) -> int:
         return sum(row012_count(r) for r in self.rows)
