@@ -9,7 +9,7 @@ one or two rows whose disjoint union is exactly the surviving member sets.
 
 from __future__ import annotations
 
-from .core import Bundle, Poset, RankPolynomial, RowAB, binomial_row, poly_mul, to_mask
+from .core import Bundle, InputError, Poset, RankPolynomial, RowAB, binomial_row, poly_mul, to_mask
 
 
 def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
@@ -63,7 +63,8 @@ def _validated(w: int, rows: list[tuple]) -> list[RowAB]:
 def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     """Impose the singleton-premise implication {j} -> b on the row.
 
-    Position j must currently be free (2); the result is one or two rows
+    Position j must currently be free (2) and b lie within 1..w (else
+    InputError, as for an implication family); the result is one or two rows
     whose disjoint union is exactly the members of `r` satisfying the
     implication.  When two rows are returned the premise-out row comes first.
     """
@@ -71,6 +72,8 @@ def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     if not r.twos_mask & jbit:
         raise ValueError(f"position {j} must be free (2) when its implication is imposed")
     bmask = to_mask(b)
+    if bmask >> r.w:
+        raise InputError(f"element {bmask.bit_length()} outside universe 1..{r.w}")
     if bmask & jbit:
         raise ValueError("premise position inside its own conclusion")
     row = (r.ones_mask, r.twos_mask, r.zeros_mask, r.bundles, r.next_bundle)

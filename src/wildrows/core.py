@@ -566,27 +566,8 @@ class Poset:
             u, v = _first_cycle_pair(succ, [e for e in range(1, w + 1) if indeg[e]])
             raise InputError(f"not antisymmetric: {u} and {v} are in a cycle")
         self.linext = tuple(order)
-        # p is a lower cover of v iff p is a given predecessor of v lying
-        # strictly below no other given predecessor of v
-        strict = [0] * (w + 1)
-        down = [0] * (w + 1)
-        lower = [0] * (w + 1)
-        for v in order:
-            covered = union_over(strict, pred[v])
-            strict[v] = covered | pred[v]
-            down[v] = strict[v] | 1 << (v - 1)
-            lower[v] = pred[v] & ~covered
-        # reverse order: every upper cover of v registers itself before v
-        up = [0] * (w + 1)
-        upper = [0] * (w + 1)
-        for v in reversed(order):
-            up[v] = union_over(up, upper[v]) | 1 << (v - 1)
-            for p in bit_positions(lower[v]):
-                upper[p] |= 1 << (v - 1)
-        self.down_masks = down
-        self.up_masks = up
-        self.lower_cover_masks = lower
-        self.upper_cover_masks = upper
+        self.down_masks, self.lower_cover_masks = _closure_and_covers(order, pred)
+        self.up_masks, self.upper_cover_masks = _closure_and_covers(reversed(order), succ)
 
     @property
     def elements(self) -> range:
@@ -610,8 +591,9 @@ class Poset:
         return from_mask(self.up_masks[p])
 
     def is_ideal(self, x: Iterable[int]) -> bool:
+        """Whether x is a down-closed subset of 1..w."""
         m = to_mask(x)
-        return union_over(self.down_masks, m) == m
+        return not m >> self.w and union_over(self.down_masks, m) == m
 
     @classmethod
     def chain(cls, w: int) -> "Poset":
@@ -627,6 +609,21 @@ class Poset:
     def __repr__(self):
         rels = [(u, v) for u in self.elements for v in self.upper_covers(u)]
         return f"Poset(w={self.w}, covers={sorted(rels)})"
+
+
+def _closure_and_covers(order: Iterable[int], rel: list[int]) -> tuple[list[int], list[int]]:
+    """closed[v] is v plus everything reachable from v along the masks `rel`,
+    covers[v] the elements of rel[v] reachable from no other element of
+    rel[v] (index 0 unused).  `order` lists each v after all of rel[v]."""
+    strict = [0] * len(rel)
+    closed = [0] * len(rel)
+    covers = [0] * len(rel)
+    for v in order:
+        covered = union_over(strict, rel[v])
+        strict[v] = covered | rel[v]
+        closed[v] = strict[v] | 1 << (v - 1)
+        covers[v] = rel[v] & ~covered
+    return closed, covers
 
 
 def _first_cycle_pair(succ: list[int], nodes: list[int]) -> tuple[int, int]:
@@ -793,8 +790,10 @@ class RankPolynomial(Record):
 
     def __init__(self, coefficients: Iterable[int]):
         coeffs = tuple(coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        coeffs = coeffs[:n]  # the same tuple when nothing is stripped
         if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
         _setattr(self, "coefficients", coeffs)

@@ -295,19 +295,20 @@ def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:
     """Exhaustive-search feasibility oracle for desk-scale families.
 
     Searches the subsets between the ones-part and the complement of the
-    zeros-part, given as masks or as frozensets.  Refuses universes beyond
-    w=24.
+    zeros-part, given as masks or as frozensets.  Ones above w make the
+    answer False; zeros above w are ignored.  Refuses universes beyond w=24.
     """
-    if family.w > BRUTE_ORACLE_MAX_W:
+    w = family.w
+    if w > BRUTE_ORACLE_MAX_W:
         raise GuardError(
-            f"universe too large for the exhaustive oracle (w={family.w} > {BRUTE_ORACLE_MAX_W})"
+            f"universe too large for the exhaustive oracle (w={w} > {BRUTE_ORACLE_MAX_W})"
         )
     masks = family.masks
-    full = (1 << family.w) - 1
+    full = (1 << w) - 1
 
     def oracle(ones, zeros, k):
         om, zm = to_mask(ones), to_mask(zeros)
-        if om & zm:
+        if om >> w or om & zm:
             return False
         free = sorted(from_mask(full & ~(om | zm)))
         if k is None:

@@ -52,12 +52,15 @@ def ideal_oracle(p: Poset) -> FeasibilityOracle:
     and F the filter generated by the zeros, the largest ideal avoiding the
     zeros is the complement of F, so a k-element ideal extending Z0 exists
     iff Z0 misses F and |Z0| <= k <= w - |F|.  ones and zeros are int masks
-    or frozensets; O(|ones| + |zeros|) mask operations.
+    or frozensets; O(|ones| + |zeros|) mask operations.  Ones above w make
+    the answer False; zeros above w are ignored.
     """
     down, up, w = p.down_masks, p.up_masks, p.w
+    full = (1 << w) - 1
 
     def oracle(ones, zeros, k):
-        return _fits(union_over(down, to_mask(ones)), union_over(up, to_mask(zeros)), w, k)
+        ones = to_mask(ones)
+        return not ones >> w and _fits(union_over(down, ones), union_over(up, to_mask(zeros) & full), w, k)
 
     return oracle
 

@@ -176,14 +176,17 @@ def subtree_oracle(t: Tree) -> FeasibilityOracle:
     least k vertices (for empty Z0: some component does, or k = 0).  ones
     and the forbidden set are int masks or frozensets.  A component is
     grown only until it reaches k vertices; a component cut short that way
-    already answers True.
+    already answers True.  Ones above w make the answer False; zeros above
+    w are ignored.
     """
     close = steiner_closure_mask(t)
     nbr = t.neighbor_masks
-    full = (1 << t.w) - 1
+    w = t.w
+    full = (1 << w) - 1
 
     def oracle(ones, zeros, k):
-        return _fits(close(to_mask(ones)), to_mask(zeros), full, nbr, k)
+        ones = to_mask(ones)
+        return not ones >> w and _fits(close(ones), to_mask(zeros), full, nbr, k)
 
     return oracle
 

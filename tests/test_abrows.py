@@ -4,6 +4,7 @@ import pytest
 from conftest import random_poset, random_rowab
 
 from wildrows import (
+    InputError,
     Poset,
     RowAB,
     SplitMix64,
@@ -69,6 +70,12 @@ def test_impose_rejects_premise_inside_conclusion():
     with pytest.raises(ValueError) as info:
         ab_impose(parse_row("2 2 2", kind="ab"), 1, {1, 2})
     assert str(info.value) == "premise position inside its own conclusion"
+
+
+def test_impose_rejects_conclusion_outside_row():
+    with pytest.raises(InputError) as info:
+        ab_impose(RowAB.full(3), 1, {4})
+    assert str(info.value) == "element 4 outside universe 1..3"
 
 
 def test_impose_split_over_bundles():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -393,6 +394,8 @@ def test_poset_linear_extension_is_compatible():
 def test_poset_is_ideal():
     p = Poset.chain(3)
     assert p.is_ideal({1, 2}) and p.is_ideal(set()) and not p.is_ideal({2})
+    # a label above w: no subset of 1..w, so no ideal
+    assert not p.is_ideal({4}) and not p.is_ideal({1, 2, 3, 4}) and not p.is_ideal(1 << 70)
 
 
 def test_poset_relation_outside_universe():
@@ -499,6 +502,14 @@ def test_rank_polynomial_ops():
     assert p.padded(4) == (1, 3, 3, 1, 0)
     with pytest.raises(ValueError):
         RankPolynomial((1, -2))
+
+
+def test_rank_polynomial_strips_a_long_zero_tail_in_linear_time():
+    start = time.perf_counter()
+    assert RankPolynomial((1,) + (0,) * 100_000) == RankPolynomial((1,))
+    assert time.perf_counter() - start < 1.0
+    coeffs = (1, 3, 3, 1)
+    assert RankPolynomial(coeffs).coefficients is coeffs  # nothing stripped, nothing copied
 
 
 def test_rank_polynomial_repr_and_degree():

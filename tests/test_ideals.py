@@ -96,6 +96,8 @@ def test_ideal_oracle_chain_cases():
     assert oracle(frozenset(), frozenset(), 0) is True
     assert oracle(frozenset(), frozenset(), None) is True
     assert oracle(frozenset({1}), frozenset({1}), 2) is False
+    assert oracle(frozenset({4}), frozenset(), 2) is False
+    assert oracle(frozenset(), frozenset({4}), 2) is True
 
 
 def test_ideal_oracle_agrees_with_exhaustive_search():
@@ -157,6 +159,11 @@ def test_ideal_oracle_matches_brute_oracle_on_unclosed_ones():
                 ones = to_mask(rng.sample(range(1, p.w + 1), rng.below(min(p.w, 3) + 1)))
                 zeros = to_mask(rng.sample(range(1, p.w + 1), rng.below(min(p.w, 3) + 1))) & ~ones
                 assert fast(ones, zeros, k) == slow(ones, zeros, k), (p, ones, zeros, k)
+                # a label above w: in the ones it makes the answer False, in
+                # the zeros it is ignored
+                for above in (1 << p.w, 1 << (p.w + 70)):
+                    assert fast(ones | above, zeros, k) is False and slow(ones | above, zeros, k) is False
+                    assert fast(ones, zeros | above, k) == slow(ones, zeros | above, k) == fast(ones, zeros, k)
 
 
 @pytest.mark.parametrize("k", [-1, 6])

@@ -106,3 +106,24 @@ def test_poset_matches_warshall_reference(w, relations):
     assert p == Poset(w, covers) == Poset(w, sorted(le))
     assert p != Poset(w + 1, covers)
     assert (p == Poset.antichain(w)) == (not covers)
+
+
+def wide_instances():
+    """Relation lists with w in 65..80, so that masks span several CPython
+    digits and more than one 64-bit word."""
+    rng = SplitMix64(0x5EED_0065)
+    for _ in range(3):
+        w = 65 + rng.below(16)
+        yield w, random_relations(rng, w)
+    for _ in range(3):  # acyclic: up to three pairs into each element along a hidden permutation
+        w = 65 + rng.below(16)
+        perm = rng.sample(range(1, w + 1), w)
+        yield w, [(perm[rng.below(j)], perm[j]) for j in range(1, w) for _ in range(rng.below(4))]
+    perm = rng.sample(range(1, 71), 70)
+    yield 70, [(perm[i], perm[j]) for i in range(70) for j in range(i + 1, 70)]  # a chain listing all its pairs
+    yield 80, [(i, i + 1) for i in range(1, 80)] + [(80, 77)]  # a cycle through the highest labels
+
+
+@pytest.mark.parametrize("w,relations", list(wide_instances()))
+def test_poset_matches_warshall_reference_on_multiword_masks(w, relations):
+    test_poset_matches_warshall_reference(w, relations)

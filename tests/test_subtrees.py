@@ -129,6 +129,8 @@ def test_subtree_oracle_path_cases():
     assert oracle(frozenset(), frozenset(), 0) is True
     assert oracle(frozenset({1}), frozenset({1}), 1) is False
     assert oracle(frozenset({1}), frozenset({2}), None) is True
+    assert oracle(frozenset({4}), frozenset(), 2) is False
+    assert oracle(frozenset(), frozenset({4}), 2) is True
 
 
 def test_subtree_oracle_agrees_with_exhaustive_search():
@@ -204,6 +206,11 @@ def test_subtree_oracle_matches_brute_oracle_on_unclosed_ones():
                 ones = to_mask(rng.sample(t.vertices, rng.below(min(t.w, 3) + 1)))
                 zeros = to_mask(rng.sample(t.vertices, rng.below(min(t.w, 3) + 1))) & ~ones
                 assert fast(ones, zeros, k) == slow(ones, zeros, k), (t, ones, zeros, k)
+                # a label above w: in the ones it makes the answer False, in
+                # the zeros it is ignored
+                for above in (1 << t.w, 1 << (t.w + 70)):
+                    assert fast(ones | above, zeros, k) is False and slow(ones | above, zeros, k) is False
+                    assert fast(ones, zeros | above, k) == slow(ones, zeros | above, k) == fast(ones, zeros, k)
 
 
 @pytest.mark.parametrize("k", [-1, 7])
