@@ -9,7 +9,6 @@ platform and Python version.
 from __future__ import annotations
 
 import heapq
-import os
 from time import perf_counter
 
 from .abrows import ab_enumerate, rows_poly
@@ -315,23 +314,11 @@ def _warmup():
     rank_poly_recursive(p)
 
 
-def run_bench(specs, workers: int = 1, timeout_s: float | None = None) -> BenchReport:
+def run_bench(specs, timeout_s: float | None = None) -> BenchReport:
     """Run both methods on each instance and report timings plus agreement.
 
-    Instances are independent; workers > 1 spreads them over processes
-    (per-instance timing stays single-threaded), at most one per instance
-    and per core, since a fork-based pool starts all its workers at once.
-    A timeout only flags the row, it never aborts the run.
+    Instances run one at a time, in order, in the calling process.  A
+    timeout only flags the row, it never aborts the run.
     """
-    specs = list(specs)
     _warmup()
-    workers = min(workers, len(specs), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here so that plain CLI starts do not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_one, specs, [timeout_s] * len(specs)))
-    else:
-        rows = [_bench_one(s, timeout_s) for s in specs]
-    return BenchReport(tuple(rows))
+    return BenchReport(tuple(_bench_one(s, timeout_s) for s in specs))

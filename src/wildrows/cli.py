@@ -271,7 +271,7 @@ def _cmd_bench(args) -> None:
     from .bench import run_bench
 
     specs = parse_bench_specs(_read(args.spec))
-    report = run_bench(specs, workers=args.threads, timeout_s=args.timeout)
+    report = run_bench(specs, timeout_s=args.timeout)
     if args.machine:
         for line in report.machine_lines():
             print(line)
@@ -334,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="compare the two methods on generated instances")
     sp.add_argument("--spec", required=True, help="file with 'm l t seed' lines")
     sp.add_argument("--machine", action="store_true", help="tab-separated lines instead of a table")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="run instances in parallel processes (timings per instance stay serial)")
     sp.add_argument("--timeout", type=float, default=None,
                     help="per-instance soft timeout in seconds (flagged, not fatal)")
     sp.set_defaults(func=_cmd_bench)

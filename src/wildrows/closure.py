@@ -8,7 +8,7 @@ the family (which would multiply the cost by the family size) are avoided.
 
 from __future__ import annotations
 
-from .core import ImplicationFamily, bit_positions, from_mask, to_mask
+from .core import ImplicationFamily, _within, bit_positions, from_mask, to_mask
 
 
 def premise_index(w: int, masks) -> list[list[int]]:
@@ -64,7 +64,7 @@ class Closer:
         return x
 
     def close(self, seed) -> frozenset[int]:
-        return from_mask(self.close_mask(to_mask(seed)))
+        return from_mask(self.close_mask(_within(to_mask(seed), self.family.w)))
 
 
 def close(seed, family: ImplicationFamily) -> frozenset[int]:

@@ -62,6 +62,20 @@ def union_over(table, mask: int) -> int:
     return acc
 
 
+def _label(e: int, w: int) -> int:
+    """e, refused unless it is an element of 1..w."""
+    if not 1 <= e <= w:
+        raise InputError(f"element {e} outside universe 1..{w}")
+    return e
+
+
+def _within(mask: int, w: int) -> int:
+    """mask, refused if it holds a label above w (named by the highest)."""
+    if mask >> w:
+        raise InputError(f"element {mask.bit_length()} outside universe 1..{w}")
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -149,8 +163,7 @@ class ImplicationFamily(Record):
         for imp in implications:
             # checked before to_mask, which fails on element 0 or a negative one
             for e in itertools.chain(imp.premise, imp.conclusion):
-                if not 1 <= e <= w:
-                    raise InputError(f"element {e} outside universe 1..{w}")
+                _label(e, w)
             masks.append((to_mask(imp.premise), to_mask(imp.conclusion)))
         _setattr(self, "w", w)
         _setattr(self, "masks", tuple(masks))
@@ -168,8 +181,7 @@ class ImplicationFamily(Record):
         family = cls(w, ())
         pairs = tuple((prem, conc & ~prem) for prem, conc in masks)
         for prem, conc in pairs:
-            if (prem | conc) >> w:
-                raise InputError(f"element {(prem | conc).bit_length()} outside universe 1..{w}")
+            _within(prem | conc, w)
         _setattr(family, "masks", pairs)
         return family
 
@@ -574,21 +586,21 @@ class Poset:
         return range(1, self.w + 1)
 
     def le(self, u: int, v: int) -> bool:
-        return bool(self.down_masks[v] >> (u - 1) & 1)
+        return bool(self.down_masks[_label(v, self.w)] >> (_label(u, self.w) - 1) & 1)
 
     def lower_covers(self, p: int) -> frozenset[int]:
-        return from_mask(self.lower_cover_masks[p])
+        return from_mask(self.lower_cover_masks[_label(p, self.w)])
 
     def upper_covers(self, p: int) -> frozenset[int]:
-        return from_mask(self.upper_cover_masks[p])
+        return from_mask(self.upper_cover_masks[_label(p, self.w)])
 
     def down_set(self, p: int) -> frozenset[int]:
         """All q ≤ p (the ideal generated by p)."""
-        return from_mask(self.down_masks[p])
+        return from_mask(self.down_masks[_label(p, self.w)])
 
     def up_set(self, p: int) -> frozenset[int]:
         """All q ≥ p (the filter generated by p)."""
-        return from_mask(self.up_masks[p])
+        return from_mask(self.up_masks[_label(p, self.w)])
 
     def is_ideal(self, x: Iterable[int]) -> bool:
         """Whether x is a down-closed subset of 1..w."""
@@ -731,10 +743,10 @@ class Tree:
         return range(1, self.w + 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bit_positions(self.neighbor_masks[v]))
+        return tuple(bit_positions(self.neighbor_masks[_label(v, self.w)]))
 
     def degree(self, v: int) -> int:
-        return self.neighbor_masks[v].bit_count()
+        return self.neighbor_masks[_label(v, self.w)].bit_count()
 
     @classmethod
     def path_graph(cls, w: int) -> "Tree":

@@ -13,7 +13,7 @@ son closes only its new ones.
 
 from __future__ import annotations
 
-from .core import GuardError, ImplicationFamily, Tree, from_mask, to_mask, union_over
+from .core import GuardError, ImplicationFamily, Tree, _within, from_mask, to_mask, union_over
 from .engine import FeasibilityOracle, FinalStack, _lifo_k
 
 # Largest total written length tree_base will build.  Building it peaks
@@ -132,7 +132,7 @@ def steiner_closure_mask(t: Tree):
 def steiner_closure(t: Tree, s) -> frozenset[int]:
     """The vertex set of the minimal subtree containing `s` (union of the
     pairwise paths); empty for an empty seed."""
-    return from_mask(steiner_closure_mask(t)(to_mask(s)))
+    return from_mask(steiner_closure_mask(t)(_within(to_mask(s), t.w)))
 
 
 def _component(seed: int, allowed: int, neighbor_masks, k: int) -> int:

@@ -205,48 +205,3 @@ def test_run_bench_report_formats():
     fields = lines[0].split("\t")
     assert fields[:4] == ["2", "3", "1", "4"]
     assert fields[9] == "true"
-
-
-def test_run_bench_parallel_smoke():
-    specs = [LayeredSpec(2, 2, 1, seed=s) for s in range(3)]
-    serial = run_bench(specs)
-    parallel = run_bench(specs, workers=2)
-    assert [r.n for r in serial.rows] == [r.n for r in parallel.rows]
-    assert parallel.all_agree()
-
-
-def test_run_bench_caps_worker_count(monkeypatch):
-    # a fork pool starts every worker up front: never ask for more than the
-    # instances or the cores can use (a fake pool, so no process starts)
-    import concurrent.futures
-
-    asked = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    specs = [LayeredSpec(2, 2, 1, seed=s) for s in range(6)]
-
-    def untimed(report):
-        return [(r.spec, r.n, r.r, r.nsum, r.agree, r.timed_out) for r in report.rows]
-
-    serial = untimed(run_bench(specs))
-    assert untimed(run_bench(specs, workers=100_000)) == serial
-    assert untimed(run_bench(specs[:3], workers=100_000)) == serial[:3]
-    assert untimed(run_bench(specs, workers=2)) == serial
-    assert asked == [4, 3, 2]
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert untimed(run_bench(specs, workers=100_000)) == serial
-    assert asked == [4, 3, 2]

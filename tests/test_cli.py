@@ -185,6 +185,12 @@ def test_bench_subcommand(files, capsys):
     assert out.splitlines()[0].split("\t")[:4] == ["2", "3", "1", "5"]
 
 
+def test_bench_has_no_threads_option(files, capsys):
+    code, out, err = run(capsys, "bench", "--spec", files["bench.spec"], "--threads", "2")
+    assert (code, out) == (1, "")
+    assert err.endswith("unrecognized arguments: --threads 2\n")
+
+
 def test_output_deterministic(files, capsys):
     _, first, _ = run(capsys, "models", files["toy.imp"], "--format", "sets")
     _, second, _ = run(capsys, "models", files["toy.imp"], "--format", "sets")

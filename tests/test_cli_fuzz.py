@@ -3,8 +3,7 @@
 Poset, tree, imp and bench-spec files, some well formed and most damaged,
 plus row token lines, go through `cli.main` in process.  Every call must end
 with a documented exit code (0 success, 1 usage, 2 bad input, 3 guard) and
-raise nothing.  Universes stay at w <= 8 and `--threads` is never passed, so
-no call starts a process or runs long.
+raise nothing.  Universes stay at w <= 8, so no call runs long.
 """
 
 import pytest

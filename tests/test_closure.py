@@ -1,8 +1,9 @@
 import itertools
 
+import pytest
 from conftest import random_family
 
-from wildrows import Closer, Implication, ImplicationFamily, SplitMix64, close, is_model
+from wildrows import Closer, Implication, ImplicationFamily, InputError, SplitMix64, close, is_model
 
 TOY = ImplicationFamily(7, [
     Implication({5}, {6, 7}),
@@ -87,3 +88,9 @@ def test_closer_reusable():
     assert closer.close({3}) == {3, 4, 5, 6, 7}
     assert closer.close({1}) == {1}
     assert closer.close({5}) == {3, 4, 5, 6, 7}
+    # a label above w is refused, named by the highest one
+    for seed, top in (({8}, 8), ({1, 12, 9}, 12), (1 << 70 | 1, 71)):
+        for closure in (closer.close, lambda s: close(s, TOY)):
+            with pytest.raises(InputError) as bad:
+                closure(seed)
+            assert str(bad.value) == f"element {top} outside universe 1..7"

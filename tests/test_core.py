@@ -363,6 +363,14 @@ def test_poset_transitive_closure_and_covers():
     p = Poset(3, [(1, 2), (2, 3)])
     assert p.le(1, 3)
     assert p.lower_covers(3) == {2} and p.lower_covers(2) == {1} and p.lower_covers(1) == frozenset()
+    # a label outside 1..w is refused, not read from the order tables
+    queries = (p.lower_covers, p.upper_covers, p.down_set, p.up_set,
+               lambda e: p.le(1, e), lambda e: p.le(e, 3))
+    for e in (0, -1, -3, 4, 5):
+        for query in queries:
+            with pytest.raises(InputError) as bad:
+                query(e)
+            assert str(bad.value) == f"element {e} outside universe 1..3"
 
 
 def test_poset_diamond_covers_from_arbitrary_relations():
@@ -469,10 +477,17 @@ def test_tree_adjacency():
                 if v != 1 and not parent[v]:
                     parent[v] = u
                     order.append(v)
-        assert [t.neighbors(v) for v in range(t.w + 1)] == adj
-        assert [t.degree(v) for v in range(t.w + 1)] == [len(ns) for ns in adj]
+        assert [t.neighbors(v) for v in t.vertices] == adj[1:]
+        assert [t.degree(v) for v in t.vertices] == [len(ns) for ns in adj[1:]]
         assert t.bfs_order == tuple(order)
         assert t.bfs_parent == tuple(parent)
+    # a label outside 1..w is refused, not read from the neighbour masks
+    t = Tree.path_graph(3)
+    for e in (0, -1, 4):
+        for query in (t.neighbors, t.degree):
+            with pytest.raises(InputError) as bad:
+                query(e)
+            assert str(bad.value) == f"element {e} outside universe 1..3"
 
 
 def test_union_over_edge_cases():

@@ -7,6 +7,7 @@ import pytest
 from wildrows import (
     GuardError,
     Implication,
+    InputError,
     SplitMix64,
     Tree,
     brute_oracle,
@@ -98,6 +99,11 @@ def test_steiner_closure_examples():
     assert steiner_closure(Tree.path_graph(4), {1, 4}) == {1, 2, 3, 4}
     assert steiner_closure(Tree.path_graph(4), {3}) == {3}
     assert steiner_closure(Tree.star(5), set()) == frozenset()
+    # a label above w is refused, named by the highest one
+    for seed, top in (({4}, 4), ({1, 9, 5}, 9), (1 << 70 | 1, 71)):
+        with pytest.raises(InputError) as bad:
+            steiner_closure(Tree.path_graph(3), seed)
+        assert str(bad.value) == f"element {top} outside universe 1..3"
 
 
 def test_steiner_closure_matches_forward_chaining():
