@@ -9,7 +9,7 @@ one or two rows whose disjoint union is exactly the surviving member sets.
 
 from __future__ import annotations
 
-from .core import Bundle, Poset, RankPolynomial, RowAB, _within, binomial_row, poly_mul, to_mask
+from .core import Bundle, Poset, RankPolynomial, RowAB, _within, binomial_row, poly_mul
 
 
 def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
@@ -71,7 +71,7 @@ def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     jbit = 1 << (j - 1)
     if not r.twos_mask & jbit:
         raise ValueError(f"position {j} must be free (2) when its implication is imposed")
-    bmask = _within(to_mask(b), r.w)
+    bmask = _within(b, r.w)
     if bmask & jbit:
         raise ValueError("premise position inside its own conclusion")
     row = (r.ones_mask, r.twos_mask, r.zeros_mask, r.bundles, r.next_bundle)

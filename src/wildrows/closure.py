@@ -8,7 +8,7 @@ the family (which would multiply the cost by the family size) are avoided.
 
 from __future__ import annotations
 
-from .core import ImplicationFamily, _within, bit_positions, from_mask, to_mask
+from .core import ImplicationFamily, _positive_mask, _within, bit_positions, from_mask
 
 
 def premise_index(w: int, masks) -> list[list[int]]:
@@ -64,7 +64,7 @@ class Closer:
         return x
 
     def close(self, seed) -> frozenset[int]:
-        return from_mask(self.close_mask(_within(to_mask(seed), self.family.w)))
+        return from_mask(self.close_mask(_within(seed, self.family.w)))
 
 
 def close(seed, family: ImplicationFamily) -> frozenset[int]:
@@ -76,8 +76,10 @@ def close(seed, family: ImplicationFamily) -> frozenset[int]:
 
 
 def is_model(x, family: ImplicationFamily) -> bool:
-    """True iff `x` satisfies every implication of the family."""
-    return is_model_mask(to_mask(x), family.masks)
+    """True iff `x`, a subset of 1..w, satisfies every implication of the
+    family; False for a set holding a label above w."""
+    m = _positive_mask(x, family.w)
+    return not m >> family.w and is_model_mask(m, family.masks)
 
 
 def is_model_mask(m: int, masks) -> bool:

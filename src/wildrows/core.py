@@ -69,11 +69,29 @@ def _label(e: int, w: int) -> int:
     return e
 
 
-def _within(mask: int, w: int) -> int:
-    """mask, refused if it holds a label above w (named by the highest)."""
+def _positive_mask(x, w: int) -> int:
+    """The mask of x (labels or a mask); a label below 1, on which `to_mask`
+    would fail with a negative shift, is refused with `_label`'s text."""
+    if isinstance(x, int):
+        return x
+    return to_mask(e if e > 0 else _label(e, w) for e in x)
+
+
+def _within(x, w: int) -> int:
+    """The mask of x (labels or a mask), refused unless every label lies in
+    1..w: one below 1 as in `_positive_mask`, else the highest above w."""
+    mask = _positive_mask(x, w)
     if mask >> w:
         raise InputError(f"element {mask.bit_length()} outside universe 1..{w}")
     return mask
+
+
+def _loose_mask(x, w: int) -> int:
+    """The mask of x (labels or a mask), a label below 1 standing as w + 1:
+    a membership test then answers for it as for any label above w."""
+    if isinstance(x, int):
+        return x
+    return to_mask(e if e > 0 else w + 1 for e in x)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +318,7 @@ class Row012(WildRow):
         )
 
     def __contains__(self, x) -> bool:
-        m = to_mask(x)
+        m = _loose_mask(x, self.w)
         return m & self.ones_mask == self.ones_mask and m & ~(self.ones_mask | self.twos_mask) == 0
 
 
@@ -423,7 +441,7 @@ class RowAB(WildRow):
         return tuple(toks)
 
     def __contains__(self, x) -> bool:
-        m = to_mask(x)
+        m = _loose_mask(x, self.w)
         if m & self.ones_mask != self.ones_mask:
             return False
         if m & ~(self.ones_mask | self.twos_mask | self.bundle_mask):
@@ -604,7 +622,7 @@ class Poset:
 
     def is_ideal(self, x: Iterable[int]) -> bool:
         """Whether x is a down-closed subset of 1..w."""
-        m = to_mask(x)
+        m = _loose_mask(x, self.w)
         return not m >> self.w and union_over(self.down_masks, m) == m
 
     @classmethod

@@ -33,6 +33,7 @@ from .core import (
     ImplicationFamily,
     Record,
     Row012,
+    _loose_mask,
     _setattr,
     from_mask,
     row012_count,
@@ -295,8 +296,9 @@ def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:
     """Exhaustive-search feasibility oracle for desk-scale families.
 
     Searches the subsets between the ones-part and the complement of the
-    zeros-part, given as masks or as frozensets.  Ones above w make the
-    answer False; zeros above w are ignored.  Refuses universes beyond w=24.
+    zeros-part, given as masks or as frozensets.  Ones outside 1..w make the
+    answer False; zeros outside 1..w are ignored.  Refuses universes beyond
+    w=24.
     """
     w = family.w
     if w > BRUTE_ORACLE_MAX_W:
@@ -307,7 +309,7 @@ def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:
     full = (1 << w) - 1
 
     def oracle(ones, zeros, k):
-        om, zm = to_mask(ones), to_mask(zeros)
+        om, zm = _loose_mask(ones, w), _loose_mask(zeros, w)
         if om >> w or om & zm:
             return False
         free = sorted(from_mask(full & ~(om | zm)))

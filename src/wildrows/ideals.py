@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .core import ImplicationFamily, Poset, to_mask, union_over
+from .core import ImplicationFamily, Poset, _loose_mask, union_over
 from .engine import FeasibilityOracle, FinalStack, _lifo_k
 
 
@@ -52,15 +52,15 @@ def ideal_oracle(p: Poset) -> FeasibilityOracle:
     and F the filter generated by the zeros, the largest ideal avoiding the
     zeros is the complement of F, so a k-element ideal extending Z0 exists
     iff Z0 misses F and |Z0| <= k <= w - |F|.  ones and zeros are int masks
-    or frozensets; O(|ones| + |zeros|) mask operations.  Ones above w make
-    the answer False; zeros above w are ignored.
+    or frozensets; O(|ones| + |zeros|) mask operations.  Ones outside 1..w
+    make the answer False; zeros outside 1..w are ignored.
     """
     down, up, w = p.down_masks, p.up_masks, p.w
     full = (1 << w) - 1
 
     def oracle(ones, zeros, k):
-        ones = to_mask(ones)
-        return not ones >> w and _fits(union_over(down, ones), union_over(up, to_mask(zeros) & full), w, k)
+        ones, zeros = _loose_mask(ones, w), _loose_mask(zeros, w) & full
+        return not ones >> w and _fits(union_over(down, ones), union_over(up, zeros), w, k)
 
     return oracle
 

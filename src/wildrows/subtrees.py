@@ -13,7 +13,7 @@ son closes only its new ones.
 
 from __future__ import annotations
 
-from .core import GuardError, ImplicationFamily, Tree, _within, from_mask, to_mask, union_over
+from .core import GuardError, ImplicationFamily, Tree, _loose_mask, _within, from_mask, union_over
 from .engine import FeasibilityOracle, FinalStack, _lifo_k
 
 # Largest total written length tree_base will build.  Building it peaks
@@ -132,7 +132,7 @@ def steiner_closure_mask(t: Tree):
 def steiner_closure(t: Tree, s) -> frozenset[int]:
     """The vertex set of the minimal subtree containing `s` (union of the
     pairwise paths); empty for an empty seed."""
-    return from_mask(steiner_closure_mask(t)(_within(to_mask(s), t.w)))
+    return from_mask(steiner_closure_mask(t)(_within(s, t.w)))
 
 
 def _component(seed: int, allowed: int, neighbor_masks, k: int) -> int:
@@ -176,8 +176,8 @@ def subtree_oracle(t: Tree) -> FeasibilityOracle:
     least k vertices (for empty Z0: some component does, or k = 0).  ones
     and the forbidden set are int masks or frozensets.  A component is
     grown only until it reaches k vertices; a component cut short that way
-    already answers True.  Ones above w make the answer False; zeros above
-    w are ignored.
+    already answers True.  Ones outside 1..w make the answer False; zeros
+    outside 1..w are ignored.
     """
     close = steiner_closure_mask(t)
     nbr = t.neighbor_masks
@@ -185,8 +185,8 @@ def subtree_oracle(t: Tree) -> FeasibilityOracle:
     full = (1 << w) - 1
 
     def oracle(ones, zeros, k):
-        ones = to_mask(ones)
-        return not ones >> w and _fits(close(ones), to_mask(zeros), full, nbr, k)
+        ones = _loose_mask(ones, w)
+        return not ones >> w and _fits(close(ones), _loose_mask(zeros, w), full, nbr, k)
 
     return oracle
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_row012, random_rowab
 
 from wildrows import (
+    Closer,
     Implication,
     ImplicationFamily,
     InputError,
@@ -16,7 +17,13 @@ from wildrows import (
     RowAB,
     SplitMix64,
     Tree,
+    ab_impose,
+    brute_oracle,
+    close,
     gen_random_tree,
+    ideal_oracle,
+    is_model,
+    natural_base,
     parse_row,
     render_row,
     row012_count,
@@ -24,6 +31,8 @@ from wildrows import (
     row012_members,
     rowab_count,
     rowab_members,
+    steiner_closure,
+    subtree_oracle,
 )
 from wildrows.core import Bundle, from_mask, union_over
 from wildrows.engine import EngineStats, FinalStack
@@ -498,6 +507,49 @@ def test_union_over_edge_cases():
     mask = 1 << 0 | 1 << 63 | 1 << 64 | 1 << 149
     assert union_over(table, mask) == 1 << 201 | 1 << 264 | 1 << 265 | 1 << 350
     assert union_over(table, (1 << 150) - 1) == sum(table.values())
+
+
+# ---------------------------------------------------------------------------
+# set-taking entry points and labels outside 1..w
+
+def test_set_taking_calls_refuse_labels_below_one():
+    # a set holding 0 or a negative label is refused with the text of any
+    # label outside 1..w, naming that label, not a bare shift error
+    family = natural_base(Poset.chain(3))
+    calls = (
+        lambda s: steiner_closure(Tree.path_graph(3), s),
+        lambda s: close(s, family),
+        Closer(family).close,
+        lambda s: is_model(s, family),
+        lambda s: ab_impose(RowAB.full(3), 1, s),
+    )
+    for call in calls:
+        for seed, e in (({0}, 0), ({-2}, -2), ({2, 0}, 0), ({3, -1}, -1)):
+            with pytest.raises(InputError) as bad:
+                call(seed)
+            assert str(bad.value) == f"element {e} outside universe 1..3"
+    # a model is a subset of 1..w: a label above w makes it no model
+    assert is_model({1}, family)
+    assert not is_model({4}, family)
+    assert not is_model({1, 2, 3, 4}, family)
+    assert not is_model(0b1000, family)
+
+
+def test_set_answering_calls_treat_labels_below_one_as_outside():
+    # membership tests and the built-in oracles answer for a label below 1
+    # as they do for a label above w
+    p = Poset.chain(3)
+    oracles = (ideal_oracle(p), subtree_oracle(Tree.path_graph(3)), brute_oracle(natural_base(p)))
+    for bad in (0, -1, 4):
+        assert not p.is_ideal({bad})
+        assert not p.is_ideal({1, bad})
+        assert {1, bad} not in Row012.full(3)
+        assert {bad} not in RowAB.full(3)
+        for oracle in oracles:
+            assert oracle({1, bad}, set(), 2) is False
+            assert oracle(set(), {bad}, 3) is True
+            assert oracle({1}, {3, bad}, 2) is True
+    assert p.is_ideal({1, 2}) and {1, 2} in Row012.full(3) and {1, 2} in RowAB.full(3)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_bases_and_k_enumerators_build_no_implication(monkeypatch):
     # their own references to the helpers, which their oracles also use
     for name in ("to_mask", "from_mask"):
         monkeypatch.setattr(core, name, counted("core", getattr(core, name)))
-    for module, name in ((ideals, "to_mask"), (subtrees, "to_mask"), (subtrees, "from_mask")):
+    for module, name in ((ideals, "_loose_mask"), (subtrees, "_loose_mask"), (subtrees, "from_mask")):
         monkeypatch.setattr(module, name, counted("bases", getattr(module, name)))
     ibase, tbase = natural_base(p), tree_base(t)
     assert calls == {"Implication": 0, "core": 0, "bases": 0}

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from conftest import random_poset
@@ -124,6 +125,26 @@ def test_memoized_run_agrees_and_hides_leaf_count():
         memo, memo_nsum = rank_poly_recursive(p, memo=True)
         assert plain == memo
         assert isinstance(nsum, int) and memo_nsum is None
+
+
+def traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bounded_cache_keeps_results_and_flat_memory():
+    # repeated subsets reuse their coefficients and leaf count, so nsum
+    # still counts every leaf; the cache is cleared before it holds 2^16
+    # coefficient cells (uncapped it peaked at 16 MB on the layered poset)
+    (poly, nsum), peak = traced_peak(rank_poly_recursive, gen_layered_poset(LayeredSpec(10, 10, 2, 1)))
+    assert (poly.evaluate(1), nsum) == (1291619062, 39342)
+    assert peak < 5 << 20
+    (poly, nsum), peak = traced_peak(rank_poly_recursive, Poset.chain(1500))
+    assert poly.coefficients == (1,) * 1501 and nsum == 1500
+    assert peak < 3 << 20
 
 
 def test_pivot_decomposition_is_a_bijection():
