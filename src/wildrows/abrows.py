@@ -9,7 +9,7 @@ one or two rows whose disjoint union is exactly the surviving member sets.
 
 from __future__ import annotations
 
-from .core import Bundle, Poset, RankPolynomial, RowAB, _within, binomial_row, poly_mul
+from .core import Bundle, Poset, RankPolynomial, RowAB, _label, _within, binomial_row, poly_mul
 
 
 def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
@@ -63,12 +63,13 @@ def _validated(w: int, rows: list[tuple]) -> list[RowAB]:
 def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     """Impose the singleton-premise implication {j} -> b on the row.
 
-    Position j must currently be free (2) and b lie within 1..w (else
-    InputError, as for an implication family); the result is one or two rows
-    whose disjoint union is exactly the members of `r` satisfying the
-    implication.  When two rows are returned the premise-out row comes first.
+    Position j must currently be free (2), and j and b lie within 1..w
+    (else InputError, as for an implication family); the result is one or
+    two rows whose disjoint union is exactly the members of `r` satisfying
+    the implication.  When two rows are returned the premise-out row comes
+    first.
     """
-    jbit = 1 << (j - 1)
+    jbit = 1 << (_label(j, r.w) - 1)
     if not r.twos_mask & jbit:
         raise ValueError(f"position {j} must be free (2) when its implication is imposed")
     bmask = _within(b, r.w)

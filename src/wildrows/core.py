@@ -233,12 +233,21 @@ class ImplicationFamily(Record):
 
 class WildRow(Record):
     """What the {0,1,2} and {0,1,2,a,b} rows share: a length-w row whose
-    ones and twos are masks, the rest of its positions being zeros and, in
-    a RowAB, bundle positions.  Subclasses are records with the fields w,
-    ones_mask and twos_mask first and a bookkeeping field last, outside ==
-    and hash; they define `zeros_mask`, `entries` and membership."""
+    ones and twos are masks, the rest of its positions being zeros and
+    bundle positions.  Subclasses are records with the fields w, ones_mask
+    and twos_mask first and a bookkeeping field last, outside == and hash;
+    they provide `bundles`, `bundle_mask` and `entries`.  A Row012 is the
+    RowAB form with no bundles."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values()[:-1] == other._values()[:-1]
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values()[:-1])
 
     def _set_masks(self, w: int, ones_mask: int, twos_mask: int):
         """Check and set the fields the two row types share."""
@@ -267,6 +276,21 @@ class WildRow(Record):
     def zeros(self) -> frozenset[int]:
         return from_mask(self.zeros_mask)
 
+    @property
+    def zeros_mask(self) -> int:
+        return ((1 << self.w) - 1) & ~(self.ones_mask | self.twos_mask | self.bundle_mask)
+
+    def __contains__(self, x) -> bool:
+        m = _loose_mask(x, self.w)
+        if m & self.ones_mask != self.ones_mask:
+            return False
+        if m & ~(self.ones_mask | self.twos_mask | self.bundle_mask):
+            return False
+        for b in self.bundles:
+            if m >> (b.prem - 1) & 1 and m & b.conc_mask != b.conc_mask:
+                return False
+        return True
+
     def __repr__(self):
         return f"{type(self).__name__}({render_row(self)})"
 
@@ -280,18 +304,12 @@ class Row012(WildRow):
     """
 
     __slots__ = ("w", "ones_mask", "twos_mask", "pending")
+    bundles = ()
+    bundle_mask = 0
 
     def __init__(self, w: int, ones_mask: int, twos_mask: int, pending: int = 1):
         self._set_masks(w, ones_mask, twos_mask)
         _setattr(self, "pending", pending)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.w, self.ones_mask, self.twos_mask) == (other.w, other.ones_mask, other.twos_mask)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.w, self.ones_mask, self.twos_mask))
 
     @classmethod
     def from_entries(cls, entries: Iterable[int], pending: int = 1) -> "Row012":
@@ -307,24 +325,11 @@ class Row012(WildRow):
         return cls(len(entries), ones, twos, pending)
 
     @property
-    def zeros_mask(self) -> int:
-        return ((1 << self.w) - 1) & ~(self.ones_mask | self.twos_mask)
-
-    @property
     def entries(self) -> tuple[int, ...]:
         return tuple(
             1 if self.ones_mask >> i & 1 else 2 if self.twos_mask >> i & 1 else 0
             for i in range(self.w)
         )
-
-    def __contains__(self, x) -> bool:
-        m = _loose_mask(x, self.w)
-        return m & self.ones_mask == self.ones_mask and m & ~(self.ones_mask | self.twos_mask) == 0
-
-
-def row012_count(r: Row012) -> int:
-    """Number of sets in the row: 2^(number of free positions)."""
-    return 1 << r.twos_mask.bit_count()
 
 
 def row012_k_members(r: Row012, k: int) -> Iterator[frozenset[int]]:
@@ -383,36 +388,23 @@ class RowAB(WildRow):
         _setattr(self, "bundles", bundles)
         used = ones_mask | twos_mask
         seen_ids = set()
-        for b in bundles:
-            if b.bid in seen_ids:
-                raise InputError(f"duplicate bundle id {b.bid}")
-            seen_ids.add(b.bid)
-            if not b.conc_mask:
-                raise InputError(f"bundle {b.bid} has an empty conclusion")
-            pm = 1 << (b.prem - 1)
-            if (pm | b.conc_mask) >> w:
+        for bid, prem, conc in bundles:
+            if bid in seen_ids:
+                raise InputError(f"duplicate bundle id {bid}")
+            seen_ids.add(bid)
+            if not conc:
+                raise InputError(f"bundle {bid} has an empty conclusion")
+            if not 0 < prem <= w or conc >> w:
                 raise InputError("bundle position outside universe")
-            if pm & b.conc_mask:
-                raise InputError(f"bundle {b.bid} premise inside its conclusion")
-            if (pm | b.conc_mask) & used:
+            pm = 1 << (prem - 1)
+            if pm & conc:
+                raise InputError(f"bundle {bid} premise inside its conclusion")
+            if (pm | conc) & used:
                 raise InputError("bundle positions overlap other row parts")
-            used |= pm | b.conc_mask
+            used |= pm | conc
         if next_bundle <= 0:
             next_bundle = max((b.bid for b in bundles), default=0) + 1
         _setattr(self, "next_bundle", next_bundle)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.w == other.w and self.ones_mask == other.ones_mask
-                    and self.twos_mask == other.twos_mask and self.bundles == other.bundles)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.w, self.ones_mask, self.twos_mask, self.bundles))
-
-    @property
-    def zeros_mask(self) -> int:
-        return ((1 << self.w) - 1) & ~(self.ones_mask | self.twos_mask | self.bundle_mask)
 
     @property
     def bundle_mask(self) -> int:
@@ -440,26 +432,18 @@ class RowAB(WildRow):
                 toks[i - 1] = f"b{b.bid}"
         return tuple(toks)
 
-    def __contains__(self, x) -> bool:
-        m = _loose_mask(x, self.w)
-        if m & self.ones_mask != self.ones_mask:
-            return False
-        if m & ~(self.ones_mask | self.twos_mask | self.bundle_mask):
-            return False
-        for b in self.bundles:
-            if m >> (b.prem - 1) & 1 and m & b.conc_mask != b.conc_mask:
-                return False
-        return True
 
-
-def rowab_count(r: RowAB) -> int:
+def rowab_count(r: WildRow) -> int:
     """Number of member sets: 2^|twos| times, per bundle with m conclusion
     positions, a factor 2^m + 1 (premise out with the conclusion free, or
-    premise in with the conclusion forced)."""
+    premise in with the conclusion forced).  A Row012 has no bundles."""
     n = 1 << r.twos_mask.bit_count()
     for b in r.bundles:
         n *= (1 << b.conc_mask.bit_count()) + 1
     return n
+
+
+row012_count = rowab_count
 
 
 def rowab_members(r: RowAB) -> Iterator[frozenset[int]]:
@@ -824,7 +808,7 @@ class RankPolynomial(Record):
         while n and coeffs[n - 1] == 0:
             n -= 1
         coeffs = coeffs[:n]  # the same tuple when nothing is stripped
-        if any(c < 0 for c in coeffs):
+        if coeffs and min(coeffs) < 0:
             raise ValueError("coefficients must be nonnegative")
         _setattr(self, "coefficients", coeffs)
 

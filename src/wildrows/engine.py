@@ -35,6 +35,7 @@ from .core import (
     Row012,
     _loose_mask,
     _setattr,
+    _within,
     from_mask,
     row012_count,
     row012_k_members,
@@ -141,11 +142,10 @@ def candidate_sons(r: Row012, imp: Implication) -> list[Row012]:
     `imp`; an empty list encodes deletion.  Sons carry pending advanced by
     one; at most max(|premise|+1, 1) rows are returned.  A carry-over
     (premise blocked by a zero, or conclusion already forced) returns the
-    row itself."""
-    prem, conc = to_mask(imp.premise), to_mask(imp.conclusion)
+    row itself.  A label of `imp` outside 1..w raises InputError."""
+    prem, conc = _within(imp.premise, r.w), _within(imp.conclusion, r.w)
     ones, twos = r.ones_mask, r.twos_mask
-    zeros = ((1 << r.w) - 1) & ~(ones | twos)
-    if prem & zeros or not conc & ~ones:
+    if prem & r.zeros_mask or not conc & ~ones:
         return [Row012(r.w, ones, twos, r.pending + 1)]
     return [Row012(r.w, o, t, r.pending + 1) for o, t, _, _ in _split(ones, twos, prem, conc)]
 

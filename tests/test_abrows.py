@@ -72,6 +72,13 @@ def test_impose_rejects_premise_inside_conclusion():
     assert str(info.value) == "premise position inside its own conclusion"
 
 
+@pytest.mark.parametrize("j", [0, -1, 4])
+def test_impose_refuses_premise_position_outside_row(j):
+    with pytest.raises(InputError) as info:
+        ab_impose(RowAB.full(3), j, {2})
+    assert str(info.value) == f"element {j} outside universe 1..3"
+
+
 def test_impose_rejects_conclusion_outside_row():
     with pytest.raises(InputError) as info:
         ab_impose(RowAB.full(3), 1, {4})

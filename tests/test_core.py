@@ -165,11 +165,27 @@ def test_rowab_repr():
     ((3, 0, 0, (Bundle(2, 1, 0b1000),)), "bundle position outside universe"),
     ((3, 0, 0, (Bundle(5, 1, 0b011),)), "bundle 5 premise inside its conclusion"),
     ((3, 0b10, 0, (Bundle(6, 1, 0b010),)), "bundle positions overlap other row parts"),
+    ((3, 0, 0, (Bundle(1, 0, 0b10),)), "bundle position outside universe"),
 ])
 def test_rowab_validation_messages(args, message):
     with pytest.raises(InputError) as e:
         RowAB(*args)
     assert str(e.value) == message
+
+
+def test_row012_and_bundle_free_rowab_agree():
+    # a {0,1,2} row is a {0,1,2,a,b} row with no bundles: zeros, membership
+    # (labels 0 and w+1 included) and hash agree on every row of w <= 5
+    for w in range(6):
+        subsets = [from_mask(m) for m in range(1 << w)] + [{0}, {w + 1}, {1, 0}, {1, w + 1}]
+        for cells in itertools.product((0, 1, 2), repeat=w):
+            ones = sum(1 << i for i, c in enumerate(cells) if c == 1)
+            twos = sum(1 << i for i, c in enumerate(cells) if c == 2)
+            plain, ab = Row012(w, ones, twos), RowAB(w, ones, twos)
+            assert plain.zeros_mask == ab.zeros_mask
+            assert [x in plain for x in subsets] == [x in ab for x in subsets]
+            assert hash(plain) == hash((w, ones, twos))
+            assert hash(ab) == hash((w, ones, twos, ()))
 
 
 def test_rowab_bundle_conclusion_unknown_id():

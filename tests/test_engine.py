@@ -9,6 +9,7 @@ from wildrows import (
     GuardError,
     Implication,
     ImplicationFamily,
+    InputError,
     Row012,
     SplitMix64,
     brute_models,
@@ -91,6 +92,17 @@ def test_sons_advance_pending():
     r = Row012.from_entries([2] * 3, pending=2)
     for son in candidate_sons(r, Implication({1}, {2})):
         assert son.pending == 3
+
+
+@pytest.mark.parametrize("imp, e", [
+    (Implication({0}, {1}), 0),
+    (Implication({5}, {1}), 5),
+    (Implication({1}, {7}), 7),
+])
+def test_sons_refuse_labels_outside_row(imp, e):
+    with pytest.raises(InputError) as info:
+        candidate_sons(Row012.full(3), imp)
+    assert str(info.value) == f"element {e} outside universe 1..3"
 
 
 def test_sons_sound_and_disjoint_random():
