@@ -29,10 +29,8 @@ class GuardError(RuntimeError):
 # ---------------------------------------------------------------------------
 # bitmask helpers
 
-def to_mask(elements: Iterable[int] | int) -> int:
-    """The mask of a set of 1-based element labels; a mask passes through."""
-    if isinstance(elements, int):
-        return elements
+def to_mask(elements: Iterable[int]) -> int:
+    """The mask of a set of 1-based element labels."""
     m = 0
     for e in elements:
         m |= 1 << (e - 1)
@@ -70,9 +68,11 @@ def _label(e: int, w: int) -> int:
 
 
 def _positive_mask(x, w: int) -> int:
-    """The mask of x (labels or a mask); a label below 1, on which `to_mask`
-    would fail with a negative shift, is refused with `_label`'s text."""
+    """The mask of x (labels or a mask); a negative mask is refused, and so is
+    a label below 1 (a negative shift in `to_mask`), with `_label`'s text."""
     if isinstance(x, int):
+        if x < 0:
+            raise InputError(f"negative mask {x}")
         return x
     return to_mask(e if e > 0 else _label(e, w) for e in x)
 
@@ -197,10 +197,10 @@ class ImplicationFamily(Record):
         """The family of (premise_mask, conclusion_mask) pairs, for code-built
         bases; each conclusion is normalized to exclude its premise."""
         family = cls(w, ())
-        pairs = tuple((prem, conc & ~prem) for prem, conc in masks)
-        for prem, conc in pairs:
-            _within(prem | conc, w)
-        _setattr(family, "masks", pairs)
+        masks = tuple(masks)
+        for prem, conc in masks:  # a negative mask is named as given
+            _within(prem | conc if prem >= 0 and conc >= 0 else min(prem, conc), w)
+        _setattr(family, "masks", tuple((prem, conc & ~prem) for prem, conc in masks))
         return family
 
     @cached_property
@@ -577,7 +577,7 @@ class Poset:
                 if not indeg[v]:
                     heapq.heappush(heap, v)
         if len(order) < w:
-            u, v = _first_cycle_pair(succ, [e for e in range(1, w + 1) if indeg[e]])
+            u, v = _first_cycle_pair(succ, pred, ((1 << w) - 1) & ~to_mask(order))
             raise InputError(f"not antisymmetric: {u} and {v} are in a cycle")
         self.linext = tuple(order)
         self.down_masks, self.lower_cover_masks = _closure_and_covers(order, pred)
@@ -640,54 +640,42 @@ def _closure_and_covers(order: Iterable[int], rel: list[int]) -> tuple[list[int]
     return closed, covers
 
 
-def _first_cycle_pair(succ: list[int], nodes: list[int]) -> tuple[int, int]:
+def _postorder(roots: Iterable[int], adj: list[int], within: int) -> list[int]:
+    """The elements of the mask `within` reachable from `roots` along the
+    masks `adj`, in depth-first postorder, lowest label first; a root outside
+    `within`, or reached by an earlier walk, starts none."""
+    order = []
+    for root in roots:
+        if not within >> (root - 1) & 1:
+            continue
+        within ^= 1 << (root - 1)
+        stack = [root]
+        while stack:
+            step = adj[stack[-1]] & within
+            if step:
+                low = step & -step
+                within ^= low
+                stack.append(low.bit_length())
+            else:
+                order.append(stack.pop())
+    return order
+
+
+def _first_cycle_pair(succ: list[int], pred: list[int], nodes: int) -> tuple[int, int]:
     """The least element u lying on a cycle of the relation graph, and the
     least other element of u's strongly connected component.
 
-    Iterative Tarjan over `nodes`, which must be closed under successors
-    and contain every element on a cycle.
+    Kosaraju over the mask `nodes`, which must be closed under successors
+    and contain every element on a cycle: the components are the walks
+    along `pred` taken in reverse postorder of one walk along `succ`.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    best = None
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, bit_positions(succ[root]))]
-        while work:
-            v, children = work[-1]
-            for x in children:
-                if x not in index:
-                    index[x] = low[x] = len(index)
-                    stack.append(x)
-                    on_stack.add(x)
-                    work.append((x, bit_positions(succ[x])))
-                    break
-                if x in on_stack:
-                    low[v] = min(low[v], index[x])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        x = stack.pop()
-                        on_stack.discard(x)
-                        component.append(x)
-                        if x == v:
-                            break
-                    if len(component) > 1:
-                        pair = tuple(sorted(component)[:2])
-                        if best is None or pair < best:
-                            best = pair
-    return best
+    pairs = []
+    for root in reversed(_postorder(bit_positions(nodes), succ, nodes)):
+        component = _postorder((root,), pred, nodes)
+        nodes &= ~to_mask(component)
+        if len(component) > 1:
+            pairs.append(tuple(sorted(component)[:2]))
+    return min(pairs)
 
 
 # ---------------------------------------------------------------------------

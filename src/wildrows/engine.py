@@ -46,9 +46,9 @@ from .core import (
 # Contract: oracle(ones, zeros, k) is True iff some model Z of the family
 # satisfies ones ⊆ Z, Z ∩ zeros = ∅ and |Z| = k.  ones and zeros are int
 # bitmasks (bit e-1 stands for element e); the built-in oracles also accept
-# frozensets, through to_mask.  The engine always passes the closure of a
-# row's ones-part.  k=None lifts the cardinality restriction; the engine
-# itself only ever passes an int.
+# sets of labels, through _loose_mask.  The engine always passes the
+# closure of a row's ones-part.  k=None lifts the cardinality restriction;
+# the engine itself only ever passes an int.
 FeasibilityOracle = Callable[[int, int, Optional[int]], bool]
 
 BRUTE_ORACLE_MAX_W = 24

@@ -9,7 +9,7 @@ compact-row method, which it cross-checks.
 
 from __future__ import annotations
 
-from .core import Poset, RankPolynomial, binomial_row, poly_add
+from .core import Poset, RankPolynomial, binomial_row, bit_positions, poly_add
 
 # Most coefficient cells (cached subsets times w + 1) the recursion keeps;
 # past it the cache is cleared, which costs time, never exactness.  Measured
@@ -21,28 +21,36 @@ from .core import Poset, RankPolynomial, binomial_row, poly_add
 _CACHE_MAX_CELLS = 1 << 16
 
 
-def _linext_rank(p: Poset) -> list[int]:
-    """rank[e] is the position of e in p.linext (rank[0] unused)."""
-    rank = [0] * (p.w + 1)
-    for i, e in enumerate(p.linext):
-        rank[e] = i
-    return rank
+def _by_linext(p: Poset) -> Poset:
+    """p relabelled along its linear extension: p.linext[i - 1] becomes i, so
+    an earlier element of the extension has a lower label.  p itself when
+    p.linext is already 1..w."""
+    if p.linext == tuple(p.elements):
+        return p
+    label = [0] * (p.w + 1)
+    for i, e in enumerate(p.linext, 1):
+        label[e] = i
+    covers = [(label[u], label[v]) for u in p.elements for v in bit_positions(p.upper_cover_masks[u])]
+    return Poset(p.w, covers)
 
 
-def _pivot(subset: int, p: Poset, rank: list[int]) -> int:
+def _pivot(subset: int, p: Poset) -> int:
     """Element of the subset maximizing |down| + |up| within the subset;
-    ties go to the earliest linear-extension label (least `rank`).  0 when
-    the subset is an antichain: every element then scores exactly 2 (itself,
-    in both sets), and any element of a comparable pair scores more."""
+    ties go to the lowest label, which on `_by_linext(p)` is the earliest in
+    the linear extension.  0 when the subset is an antichain: every element
+    then scores exactly 2 (itself, in both sets), and any element of a
+    comparable pair scores more.  An element comparable to the whole subset
+    scores |subset| + 1, which none can beat, so the scan stops there."""
     down, up = p.down_masks, p.up_masks
     best, best_score = 0, 2
+    top = subset.bit_count() + 1
     rest = subset
-    while rest:
+    while rest and best_score < top:
         low = rest & -rest
         rest ^= low
         e = low.bit_length()
         score = (down[e] & subset).bit_count() + (up[e] & subset).bit_count()
-        if score > best_score or score == best_score and best and rank[e] < rank[best]:
+        if score > best_score:
             best, best_score = e, score
     return best
 
@@ -50,10 +58,10 @@ def _pivot(subset: int, p: Poset, rank: list[int]) -> int:
 def pick_pivot(p: Poset) -> int:
     """Pivot of the full poset; rejects empty posets and antichains (the
     recursion handles those as base cases, no pivot is needed)."""
-    a = _pivot((1 << p.w) - 1, p, _linext_rank(p))
+    a = _pivot((1 << p.w) - 1, _by_linext(p))
     if not a:
         raise ValueError("pivot undefined for empty posets and antichains")
-    return a
+    return p.linext[a - 1]
 
 
 def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, int | None]:
@@ -65,8 +73,8 @@ def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, i
     every occurrence.  memo=True selects no code: it only hides nsum (None),
     and is kept because existing callers pass it.
     """
+    p = _by_linext(p)
     down, up = p.down_masks, p.up_masks
-    rank = _linext_rank(p)
     cache: dict[int, tuple[list[int], int]] = {}
     max_cached = _CACHE_MAX_CELLS // (p.w + 1)
     # Explicit stack, so the depth never meets the interpreter's recursion
@@ -87,7 +95,7 @@ def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, i
             values.append(done)
         elif subset in cache:
             values.append(cache[subset])
-        elif a := _pivot(subset, p, rank):
+        elif a := _pivot(subset, p):
             tasks += [(subset, a), (subset & ~down[a], 0), (subset & ~up[a], 0)]
         else:
             values.append((binomial_row(subset.bit_count()), 1))

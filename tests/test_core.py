@@ -34,7 +34,7 @@ from wildrows import (
     steiner_closure,
     subtree_oracle,
 )
-from wildrows.core import Bundle, from_mask, union_over
+from wildrows.core import Bundle, _within, from_mask, union_over
 from wildrows.engine import EngineStats, FinalStack
 
 ROW5_TEXT = "0 0 1 1 2 2 2 a1 b1 b1 a2 b2 b2 b2 a3 b3"
@@ -413,6 +413,22 @@ def test_poset_rejects_cycles():
         Poset(3, [(1, 2), (2, 3), (3, 1)])
 
 
+def test_cycle_report_names_least_cycle_element_and_its_least_partner():
+    # a long chain whose only cycle is at its top
+    rels = [(i, i + 1) for i in range(1, 4096)] + [(4096, 4095)]
+    with pytest.raises(InputError) as bad:
+        Poset(4096, rels)
+    assert str(bad.value) == "not antisymmetric: 4095 and 4096 are in a cycle"
+    # two disjoint cycles: the one holding the least cycle element is
+    # reported, although the other has the smaller second element
+    with pytest.raises(InputError) as bad:
+        Poset(9, [(1, 9), (9, 1), (3, 4), (4, 3), (2, 5)])
+    assert str(bad.value) == "not antisymmetric: 1 and 9 are in a cycle"
+    with pytest.raises(InputError) as bad:
+        Poset(7, [(2, 7), (7, 5), (5, 2), (3, 4), (4, 3)])
+    assert str(bad.value) == "not antisymmetric: 2 and 5 are in a cycle"
+
+
 def test_poset_linear_extension_is_compatible():
     p = Poset(4, [(4, 2), (2, 1), (3, 1)])
     pos = {e: i for i, e in enumerate(p.linext)}
@@ -549,6 +565,32 @@ def test_set_taking_calls_refuse_labels_below_one():
     assert not is_model({4}, family)
     assert not is_model({1, 2, 3, 4}, family)
     assert not is_model(0b1000, family)
+
+
+def test_mask_taking_calls_refuse_negative_masks():
+    # a negative int is no mask: refused naming it, not read as a set of
+    # labels (whose lowest bit would name a label inside the universe)
+    family = natural_base(Poset.chain(3))
+    calls = (
+        lambda m: _within(m, 3),
+        lambda m: steiner_closure(Tree.path_graph(3), m),
+        lambda m: close(m, family),
+        Closer(family).close,
+        lambda m: is_model(m, family),
+        lambda m: ab_impose(RowAB.full(3), 1, m),
+        lambda m: ImplicationFamily.from_masks(3, [(m, 1)]),
+        lambda m: ImplicationFamily.from_masks(3, [(1, 0b10), (1, m)]),
+    )
+    for call in calls:
+        for m in (-1, -2, -4, -(1 << 70)):
+            with pytest.raises(InputError) as bad:
+                call(m)
+            assert str(bad.value) == f"negative mask {m}"
+    # the answering calls still answer
+    p = Poset.chain(3)
+    assert not p.is_ideal(-1) and -1 not in Row012.full(3) and -1 not in RowAB.full(3)
+    for oracle in (ideal_oracle(p), subtree_oracle(Tree.path_graph(3)), brute_oracle(family)):
+        assert oracle(-1, 0, 2) is False and oracle(0, -1, 2) is False
 
 
 def test_set_answering_calls_treat_labels_below_one_as_outside():

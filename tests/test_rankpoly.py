@@ -1,8 +1,10 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
 from conftest import random_poset
+from test_whitney_golden import LAYERED
 
 from wildrows import (
     LayeredSpec,
@@ -14,7 +16,7 @@ from wildrows import (
     rank_poly_recursive,
     whitney,
 )
-from wildrows.rankpoly import _linext_rank, _pivot
+from wildrows.rankpoly import _by_linext, _pivot
 
 
 def ideals_by_sweep(p):
@@ -68,22 +70,30 @@ def linext_scan_pivot(subset, p):
 
 
 def test_pivot_matches_linext_scan():
+    # _pivot runs on the poset relabelled along its linear extension; its
+    # answer, mapped back through p.linext, is the literal scan's
     rng = SplitMix64(179)
     posets = [Poset.chain(7), Poset.antichain(5), gen_layered_poset(LayeredSpec(4, 5, 2, seed=11))]
     posets += [random_poset(rng, 1 + rng.below(30), density=0.05 * (1 + rng.below(8))) for _ in range(30)]
     for p in posets:
-        rank = _linext_rank(p)
+        q = _by_linext(p)
+        assert q.linext == tuple(q.elements)
+
+        def pivot(subset):
+            a = _pivot(sum(1 << i for i, e in enumerate(p.linext) if subset >> (e - 1) & 1), q)
+            return a and p.linext[a - 1]
+
         full = (1 << p.w) - 1
-        assert _pivot(0, p, rank) == 0
+        assert pivot(0) == 0
         subsets = [full] + [rng.next_u64() & full for _ in range(20)]
         for subset in subsets:
-            assert _pivot(subset, p, rank) == linext_scan_pivot(subset, p)
+            assert pivot(subset) == linext_scan_pivot(subset, p)
             # a greedy antichain inside the subset scores 2 everywhere
             antichain = 0
             for e in rng.sample(p.elements, p.w):
                 if subset >> (e - 1) & 1 and not (p.down_masks[e] | p.up_masks[e]) & antichain:
                     antichain |= 1 << (e - 1)
-            assert _pivot(antichain, p, rank) == linext_scan_pivot(antichain, p) == 0
+            assert pivot(antichain) == linext_scan_pivot(antichain, p) == 0
 
 
 def test_rank_poly_chain_of_two():
@@ -145,6 +155,93 @@ def test_bounded_cache_keeps_results_and_flat_memory():
     (poly, nsum), peak = traced_peak(rank_poly_recursive, Poset.chain(1500))
     assert poly.coefficients == (1,) * 1501 and nsum == 1500
     assert peak < 3 << 20
+
+
+def test_chain_at_the_universe_cap_is_fast():
+    # every node's first element is comparable to its whole subset, so each
+    # pivot scan stops after one score
+    start = time.perf_counter()
+    poly, nsum = rank_poly_recursive(Poset.chain(4096))
+    assert poly.coefficients == (1,) * 4097 and nsum == 4096
+    assert time.perf_counter() - start < 5.0
+
+
+def shuffled_layered(name):
+    """The golden layered poset with its labels permuted, so its linear
+    extension is not 1..w."""
+    p = gen_layered_poset(LAYERED[name])
+    label = [0] + SplitMix64(LAYERED[name].seed).sample(p.elements, p.w)
+    return Poset(p.w, [(label[u], label[v]) for u in p.elements for v in p.upper_covers(u)])
+
+
+# name -> (rank polynomial coefficients, nsum, pick_pivot), where the pivot
+# ties go to the earliest element of a linear extension other than 1..w
+RELABELLED_GOLDEN = {
+    "t1-a": (
+        (1, 4, 10, 21, 39, 64, 94, 126, 152, 163, 157, 137, 105, 65, 29, 8, 1),
+        48, 11,
+    ),
+    "t1-b": (
+        (1, 5, 15, 36, 75, 146, 276, 502, 860, 1366, 2000, 2716, 3461, 4174, 4769, 5117, 5069, 4542, 3605, 2480, 1442, 686, 255, 69, 12, 1),
+        360, 2,
+    ),
+    "t1-c": (
+        (1, 6, 21, 58, 141, 310, 616, 1113, 1850, 2852, 4079, 5389, 6553, 7324, 7514, 7042, 5964, 4489, 2939, 1631, 743, 266, 70, 12, 1),
+        336, 16,
+    ),
+    "t1-d": (
+        (1, 3, 6, 10, 15, 22, 32, 49, 79, 126, 186, 250, 310, 357, 377, 355, 288, 193, 101, 38, 9, 1),
+        105, 9,
+    ),
+    "t2-a": (
+        (1, 4, 6, 8, 10, 12, 15, 18, 21, 23, 26, 31, 33, 27, 16, 6, 1),
+        23, 5,
+    ),
+    "t2-b": (
+        (1, 5, 10, 15, 20, 22, 24, 25, 25, 27, 30, 33, 38, 44, 50, 51, 47, 37, 21, 7, 1),
+        59, 8,
+    ),
+    "t2-c": (
+        (1, 4, 6, 8, 10, 12, 15, 18, 21, 23, 27, 33, 36, 35, 32, 29, 25, 20, 18, 18, 18, 16, 11, 5, 1),
+        47, 13,
+    ),
+    "t2-d": (
+        (1, 6, 15, 26, 40, 56, 76, 100, 125, 152, 177, 191, 184, 151, 102, 56, 24, 7, 1),
+        49, 1,
+    ),
+    "t3-a": (
+        (1, 4, 6, 4, 5, 6, 6, 4, 5, 5, 6, 4, 5, 4, 6, 4, 1),
+        19, 5,
+    ),
+    "t3-b": (
+        (1, 5, 10, 10, 10, 12, 14, 13, 10, 10, 13, 15, 15, 14, 12, 12, 12, 12, 10, 5, 1),
+        34, 15,
+    ),
+    "t3-c": (
+        (1, 4, 6, 4, 5, 7, 7, 6, 6, 5, 6, 4, 5, 4, 6, 4, 5, 10, 10, 5, 1),
+        25, 2,
+    ),
+    "t3-d": (
+        (1, 3, 3, 1, 3, 3, 1, 3, 3, 1, 3, 3, 1, 3, 3, 1, 3, 3, 1),
+        16, 2,
+    ),
+    "reversed-chain": (
+        (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+        12, 12,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RELABELLED_GOLDEN)
+def test_relabelled_golden(name):
+    if name == "reversed-chain":
+        p = Poset(12, [(i + 1, i) for i in range(1, 12)])
+    else:
+        p = shuffled_layered(name)
+    assert p.linext != tuple(p.elements)
+    poly, nsum = rank_poly_recursive(p)
+    assert poly == whitney(p)
+    assert (poly.coefficients, nsum, pick_pivot(p)) == RELABELLED_GOLDEN[name]
 
 
 def test_pivot_decomposition_is_a_bijection():
