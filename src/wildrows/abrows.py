@@ -93,16 +93,35 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
     stack = [((0, (1 << w) - 1, 0, (), 1), 0)]
     final = []
     while stack:
-        row, i = stack.pop()
+        (ones, twos, zeros, bundles, nxt), i = stack.pop()
         while i < n:
             jbit, bmask = schedule[i]
             i += 1
-            sons = _impose(row, jbit, bmask)
-            row = sons[0]
+            if bmask & zeros:
+                # conclusion blocked by a zero, most impositions, made inline:
+                # the premise position must be zero
+                twos &= ~jbit
+                zeros |= jbit
+                continue
+            sons = _impose((ones, twos, zeros, bundles, nxt), jbit, bmask)
+            ones, twos, zeros, bundles, nxt = sons[0]
             if len(sons) == 2:
                 stack.append((sons[1], i))
-        final.append(row)
+        final.append((ones, twos, zeros, bundles, nxt))
     return _validated(w, final)
+
+
+# A row's cardinality polynomial is x^|ones| times a factor that depends only
+# on |twos| and the multiset of its bundles' conclusion sizes, and few such
+# signatures recur: the benchmark's 200 `whitney` posets (seed 3601) give
+# 33,638 rows with 154 signatures, whose 1824 coefficient cells hold 0.05 MB
+# (tracemalloc).  The factors are kept by signature up to _FACTOR_MAX_CELLS
+# cells in all; past it the cache is cleared, which costs time, never
+# exactness.  Full, it holds 1.7 MB when the coefficients are those of
+# (1+x)^4096, the CLI's largest universe.
+_FACTOR_MAX_CELLS = 1 << 12
+_factors: dict[tuple, tuple[int, ...]] = {}
+_factor_cells = 0
 
 
 def cardinality_poly(r: RowAB) -> RankPolynomial:
@@ -112,10 +131,21 @@ def cardinality_poly(r: RowAB) -> RankPolynomial:
     positions, (1+x)^m + x^(m+1): premise out with the conclusion free, or
     all m+1 positions in.  Coefficient k counts the k-element members.
     """
-    coeffs = [0] * r.ones_mask.bit_count() + binomial_row(r.twos_mask.bit_count())
-    for b in r.bundles:
-        coeffs = poly_mul(coeffs, binomial_row(b.conc_mask.bit_count()) + [1])
-    return RankPolynomial(coeffs)
+    global _factor_cells
+    key = (r.twos_mask.bit_count(), *sorted([b.conc_mask.bit_count() for b in r.bundles]))
+    factor = _factors.get(key)
+    if factor is None:
+        coeffs = binomial_row(key[0])
+        for m in key[1:]:
+            coeffs = poly_mul(coeffs, binomial_row(m) + [1])
+        factor = tuple(coeffs)
+        if len(factor) <= _FACTOR_MAX_CELLS:
+            if _factor_cells + len(factor) > _FACTOR_MAX_CELLS:
+                _factors.clear()
+                _factor_cells = 0
+            _factors[key] = factor
+            _factor_cells += len(factor)
+    return RankPolynomial((0,) * r.ones_mask.bit_count() + factor)
 
 
 def rows_poly(rows) -> RankPolynomial:

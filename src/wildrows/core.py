@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import re
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -100,25 +101,40 @@ def _loose_mask(x, w: int) -> int:
 _setattr = object.__setattr__  # a global name: the fastest to call, per field set
 
 
+def _field_getter(names: tuple[str, ...]):
+    """A method returning the tuple of the named fields, through one
+    `operator.attrgetter` call."""
+    get = operator.attrgetter(*names)
+    if len(names) == 1:
+        return lambda self: (get(self),)  # one name: attrgetter gives the bare value
+    return lambda self: get(self)
+
+
 class Record:
     """Base of the immutable value types.  A subclass lists its fields in
     `__slots__`, in constructor order, and sets each in `__init__` with
     `_setattr`.  Two records are equal when they are of one class and their
-    fields are; the hash is that of the field tuple.  Pickle and copy
-    rebuild a record through its constructor."""
+    compared fields are; the hash is that of the compared fields' tuple.
+    Pickle and copy rebuild a record through its constructor.
+
+    Each subclass that lists fields gets two getters when it is defined:
+    `_values`, the tuple of all fields, and `_key`, that of the compared
+    fields (all of them, unless a subclass says otherwise)."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("__slots__"):
+            cls._values = cls._key = _field_getter(cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -186,8 +202,7 @@ class ImplicationFamily(Record):
         _setattr(self, "w", w)
         _setattr(self, "masks", tuple(masks))
 
-    def _values(self) -> tuple:
-        return self.w, self.masks
+    _values = _key = _field_getter(("w", "masks"))
 
     def __reduce__(self):
         return type(self).from_masks, self._values()
@@ -241,13 +256,9 @@ class WildRow(Record):
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values()[:-1] == other._values()[:-1]
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values()[:-1])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = _field_getter(cls.__slots__[:-1])
 
     def _set_masks(self, w: int, ones_mask: int, twos_mask: int):
         """Check and set the fields the two row types share."""
@@ -765,9 +776,9 @@ def binomial_row(n: int) -> list[int]:
 def poly_add(a, b, shift: int = 0) -> list[int]:
     """Coefficients of a + x^shift * b, for coefficient sequences a and b."""
     out = list(a)
-    out += [0] * (len(b) + shift - len(out))
-    for i, c in enumerate(b, shift):
-        out[i] += c
+    end = len(b) + shift
+    out += [0] * (end - len(out))
+    out[shift:end] = map(operator.add, out[shift:end], b)
     return out
 
 

@@ -34,22 +34,29 @@ def _by_linext(p: Poset) -> Poset:
     return Poset(p.w, covers)
 
 
-def _pivot(subset: int, p: Poset) -> int:
-    """Element of the subset maximizing |down| + |up| within the subset;
-    ties go to the lowest label, which on `_by_linext(p)` is the earliest in
-    the linear extension.  0 when the subset is an antichain: every element
-    then scores exactly 2 (itself, in both sets), and any element of a
+def _comparability(p: Poset) -> list[int]:
+    """comp[e]: the elements comparable to e, e included (its down-set and
+    up-set, which meet in e alone); index 0 unused.  Built per call rather
+    than kept on `Poset`, whose construction every ideal query pays."""
+    return [d | u for d, u in zip(p.down_masks, p.up_masks)]
+
+
+def _pivot(subset: int, comp: list[int]) -> int:
+    """Element of the subset comparable to the most others in the subset,
+    scored as |comp[e] & subset| (the paper's |down| + |up| within the subset,
+    minus 1); ties go to the lowest label, which on `_by_linext(p)` is the
+    earliest in the linear extension.  0 when the subset is an antichain:
+    every element then scores exactly 1 (itself), and any element of a
     comparable pair scores more.  An element comparable to the whole subset
-    scores |subset| + 1, which none can beat, so the scan stops there."""
-    down, up = p.down_masks, p.up_masks
-    best, best_score = 0, 2
-    top = subset.bit_count() + 1
+    scores |subset|, which none can beat, so the scan stops there."""
+    best, best_score = 0, 1
+    top = subset.bit_count()
     rest = subset
     while rest and best_score < top:
         low = rest & -rest
         rest ^= low
         e = low.bit_length()
-        score = (down[e] & subset).bit_count() + (up[e] & subset).bit_count()
+        score = (comp[e] & subset).bit_count()
         if score > best_score:
             best, best_score = e, score
     return best
@@ -58,7 +65,7 @@ def _pivot(subset: int, p: Poset) -> int:
 def pick_pivot(p: Poset) -> int:
     """Pivot of the full poset; rejects empty posets and antichains (the
     recursion handles those as base cases, no pivot is needed)."""
-    a = _pivot((1 << p.w) - 1, _by_linext(p))
+    a = _pivot((1 << p.w) - 1, _comparability(_by_linext(p)))
     if not a:
         raise ValueError("pivot undefined for empty posets and antichains")
     return p.linext[a - 1]
@@ -75,6 +82,7 @@ def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, i
     """
     p = _by_linext(p)
     down, up = p.down_masks, p.up_masks
+    comp = _comparability(p)
     cache: dict[int, tuple[list[int], int]] = {}
     max_cached = _CACHE_MAX_CELLS // (p.w + 1)
     # Explicit stack, so the depth never meets the interpreter's recursion
@@ -95,7 +103,7 @@ def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, i
             values.append(done)
         elif subset in cache:
             values.append(cache[subset])
-        elif a := _pivot(subset, p):
+        elif a := _pivot(subset, comp):
             tasks += [(subset, a), (subset & ~down[a], 0), (subset & ~up[a], 0)]
         else:
             values.append((binomial_row(subset.bit_count()), 1))

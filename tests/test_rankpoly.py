@@ -16,7 +16,7 @@ from wildrows import (
     rank_poly_recursive,
     whitney,
 )
-from wildrows.rankpoly import _by_linext, _pivot
+from wildrows.rankpoly import _by_linext, _comparability, _pivot
 
 
 def ideals_by_sweep(p):
@@ -70,17 +70,19 @@ def linext_scan_pivot(subset, p):
 
 
 def test_pivot_matches_linext_scan():
-    # _pivot runs on the poset relabelled along its linear extension; its
-    # answer, mapped back through p.linext, is the literal scan's
+    # _pivot runs on the comparability table of the poset relabelled along
+    # its linear extension; its answer, mapped back through p.linext, is the
+    # literal scan's
     rng = SplitMix64(179)
     posets = [Poset.chain(7), Poset.antichain(5), gen_layered_poset(LayeredSpec(4, 5, 2, seed=11))]
     posets += [random_poset(rng, 1 + rng.below(30), density=0.05 * (1 + rng.below(8))) for _ in range(30)]
     for p in posets:
         q = _by_linext(p)
         assert q.linext == tuple(q.elements)
+        comp = _comparability(q)
 
         def pivot(subset):
-            a = _pivot(sum(1 << i for i, e in enumerate(p.linext) if subset >> (e - 1) & 1), q)
+            a = _pivot(sum(1 << i for i, e in enumerate(p.linext) if subset >> (e - 1) & 1), comp)
             return a and p.linext[a - 1]
 
         full = (1 << p.w) - 1

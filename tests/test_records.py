@@ -18,7 +18,7 @@ from wildrows import (
     Row012,
     RowAB,
 )
-from wildrows.core import Bundle
+from wildrows.core import Bundle, Record, WildRow
 
 B1, B2 = Bundle(1, 1, 0b110), Bundle(2, 4, 0b110000)
 SPEC = LayeredSpec(2, 3, 1, 5)
@@ -77,6 +77,29 @@ def test_equality_and_hash_follow_the_compared_fields(record, twin, other, key, 
             hash(record)
     else:
         assert hash(record) == hash(twin) == hash(key)
+
+
+def record_types(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub is not WildRow:
+            yield sub
+        yield from record_types(sub)
+
+
+def test_every_record_type_hashes_as_its_field_tuple():
+    # equality and hash go through per-class field getters; each must give
+    # the tuple of the fields it is built from, for every record type
+    assert {type(r[0]) for r in RECORDS} == set(record_types())
+    for record, _, _, key, _ in RECORDS:
+        fields = vars(type(record)).get("__slots__", ("w", "masks"))  # ImplicationFamily: none
+        values = tuple(getattr(record, name) for name in fields)
+        assert record._values() == values
+        assert key == (values[:-1] if isinstance(record, WildRow) else values)
+        if not isinstance(record, UNHASHABLE):
+            assert hash(record) == hash(key)
+    w, o, t, p = 40, 5, 1 << 20, 3
+    assert hash(Row012(w, o, t, p)) == hash((w, o, t))
+    assert hash(RankPolynomial((1, 2))) == hash(((1, 2),))
 
 
 @pytest.mark.parametrize("record, twin, other, key, text", RECORDS, ids=IDS)
