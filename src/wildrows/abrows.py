@@ -55,11 +55,6 @@ def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
     return [row_out, (ones, twos, zeros, tuple(kept), next_bundle)]
 
 
-def _validated(w: int, rows: list[tuple]) -> list[RowAB]:
-    """Plain rows as RowAB, which checks each one."""
-    return [RowAB(w, ones, twos, bundles, nxt) for ones, twos, _, bundles, nxt in rows]
-
-
 def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     """Impose the singleton-premise implication {j} -> b on the row.
 
@@ -76,7 +71,8 @@ def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     if bmask & jbit:
         raise ValueError("premise position inside its own conclusion")
     row = (r.ones_mask, r.twos_mask, r.zeros_mask, r.bundles, r.next_bundle)
-    return _validated(r.w, _impose(row, jbit, bmask))
+    sons = _impose(row, jbit, bmask)
+    return [RowAB(r.w, ones, twos, bundles, nxt) for ones, twos, _, bundles, nxt in sons]
 
 
 def ab_enumerate(p: Poset) -> list[RowAB]:
@@ -107,8 +103,10 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
             ones, twos, zeros, bundles, nxt = sons[0]
             if len(sons) == 2:
                 stack.append((sons[1], i))
-        final.append((ones, twos, zeros, bundles, nxt))
-    return _validated(w, final)
+        # built unchecked: _impose keeps the masks disjoint within 1..w and
+        # the bundles in id order below nxt, all that RowAB(...) checks
+        final.append(RowAB._trusted(w, ones, twos, bundles, nxt))
+    return final
 
 
 # A row's cardinality polynomial is x^|ones| times a factor that depends only
@@ -145,7 +143,8 @@ def cardinality_poly(r: RowAB) -> RankPolynomial:
                 _factor_cells = 0
             _factors[key] = factor
             _factor_cells += len(factor)
-    return RankPolynomial((0,) * r.ones_mask.bit_count() + factor)
+    # every factor ends in 1, so there is no trailing zero to strip
+    return RankPolynomial._trusted((0,) * r.ones_mask.bit_count() + factor)
 
 
 def rows_poly(rows) -> RankPolynomial:

@@ -145,6 +145,16 @@ class Record:
     def __reduce__(self):
         return type(self), self._values()
 
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of these field values, in `__slots__` order, built
+        without the constructor: for values that already pass its checks
+        and that it would store unchanged."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _setattr(self, name, value)
+        return self
+
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
         return f"{type(self).__qualname__}({fields})"
@@ -838,7 +848,9 @@ class RankPolynomial(Record):
         return tuple(self.coefficient(k) for k in range(n + 1))
 
     def shifted(self, n: int) -> "RankPolynomial":
-        """Multiply by x^n."""
+        """Multiply by x^n, for n >= 0."""
+        if n < 0:
+            raise ValueError(f"shift must be nonnegative, got {n}")
         return RankPolynomial((0,) * n + self.coefficients)
 
     def evaluate(self, x: int) -> int:
@@ -847,11 +859,21 @@ class RankPolynomial(Record):
             acc = acc * x + c
         return acc
 
+    # The sum or product of two polynomials is built unchecked: both hold
+    # nonnegative integers, and a nonzero one ends in a positive coefficient,
+    # so the sum ends in the longer one's last (at equal lengths, the sum of
+    # both lasts) and the product in the product of both lasts, or is () when
+    # a factor is zero.  Another operand could break this, so it is refused.
+
     def __add__(self, other: "RankPolynomial") -> "RankPolynomial":
-        return RankPolynomial(poly_add(self.coefficients, other.coefficients))
+        if not isinstance(other, RankPolynomial):
+            return NotImplemented
+        return RankPolynomial._trusted(tuple(poly_add(self.coefficients, other.coefficients)))
 
     def __mul__(self, other: "RankPolynomial") -> "RankPolynomial":
-        return RankPolynomial(poly_mul(self.coefficients, other.coefficients))
+        if not isinstance(other, RankPolynomial):
+            return NotImplemented
+        return RankPolynomial._trusted(tuple(poly_mul(self.coefficients, other.coefficients)))
 
     def __repr__(self):
         return f"RankPolynomial{self.coefficients}"
