@@ -112,21 +112,25 @@ def _field_getter(names: tuple[str, ...]):
 
 class Record:
     """Base of the immutable value types.  A subclass lists its fields in
-    `__slots__`, in constructor order, and sets each in `__init__` with
-    `_setattr`.  Two records are equal when they are of one class and their
-    compared fields are; the hash is that of the compared fields' tuple.
-    Pickle and copy rebuild a record through its constructor.
+    `_fields`, in constructor order, and sets each in `__init__` with
+    `_setattr`; `_fields` defaults to the subclass's `__slots__`.  Two
+    records are equal when they are of one class and their compared fields
+    are; the hash is that of the compared fields' tuple.  Pickle and copy
+    rebuild a record through its constructor.
 
     Each subclass that lists fields gets two getters when it is defined:
     `_values`, the tuple of all fields, and `_key`, that of the compared
     fields (all of them, unless a subclass says otherwise)."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if cls.__dict__.get("__slots__"):
-            cls._values = cls._key = _field_getter(cls.__slots__)
+        fields = cls.__dict__.get("_fields") or cls.__dict__.get("__slots__")
+        if fields:
+            cls._fields = fields
+            cls._values = cls._key = _field_getter(fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -147,16 +151,16 @@ class Record:
 
     @classmethod
     def _trusted(cls, *values):
-        """A record of these field values, in `__slots__` order, built
+        """A record of these field values, in `_fields` order, built
         without the constructor: for values that already pass its checks
         and that it would store unchanged."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
+        for name, value in zip(cls._fields, values):
             _setattr(self, name, value)
         return self
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -197,7 +201,8 @@ class ImplicationFamily(Record):
     the produced row stacks depend on it deterministically.  The family
     stores one (premise_mask, conclusion_mask) pair per implication, and
     equality compares these; the Implication objects are built on access
-    and cached in the instance `__dict__` (so the class has no `__slots__`).
+    and cached in the instance `__dict__` (so the class has no `__slots__`,
+    and names its fields in `_fields`).
     """
 
     def __init__(self, w: int, implications: Iterable[Implication]):
@@ -212,7 +217,7 @@ class ImplicationFamily(Record):
         _setattr(self, "w", w)
         _setattr(self, "masks", tuple(masks))
 
-    _values = _key = _field_getter(("w", "masks"))
+    _fields = ("w", "masks")
 
     def __reduce__(self):
         return type(self).from_masks, self._values()
@@ -268,7 +273,7 @@ class WildRow(Record):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = _field_getter(cls.__slots__[:-1])
+        cls._key = _field_getter(cls._fields[:-1])
 
     def _set_masks(self, w: int, ones_mask: int, twos_mask: int):
         """Check and set the fields the two row types share."""
@@ -563,7 +568,9 @@ class Poset:
     the reflexive-transitive closure, validates antisymmetry, and derives the
     cover relation by transitive reduction.  A fixed linear extension
     (ascending topological order, ties by label) is computed once and drives
-    every deterministic ordering downstream.
+    every deterministic ordering downstream.  When every pair u ≠ v rises
+    (u < v) that extension is 1..w and no cycle can occur, so the
+    topological sort is skipped; every pair is still range-checked.
 
     The order is held as per-element masks indexed by label (index 0 unused):
     `down_masks`/`up_masks` for the generated ideal/filter,
@@ -577,29 +584,35 @@ class Poset:
         self.w = w
         pred = [0] * (w + 1)
         succ = [0] * (w + 1)
+        rising = True
         for u, v in relations:
             if not (1 <= u <= w and 1 <= v <= w):
                 raise InputError(f"relation ({u},{v}) outside universe 1..{w}")
             if u != v:
                 pred[v] |= 1 << (u - 1)
                 succ[u] |= 1 << (v - 1)
-        # Kahn's sort with a min-heap: an element becomes available once all
-        # of its predecessors are placed, which is the same moment for any
-        # relation list generating the order, so popping the least available
-        # label gives the lexicographically least linear extension.
-        indeg = [m.bit_count() for m in pred]
-        heap = [e for e in range(1, w + 1) if not indeg[e]]  # sorted, so a heap
-        order = []
-        while heap:
-            u = heapq.heappop(heap)
-            order.append(u)
-            for v in bit_positions(succ[u]):
-                indeg[v] -= 1
-                if not indeg[v]:
-                    heapq.heappush(heap, v)
-        if len(order) < w:
-            u, v = _first_cycle_pair(succ, pred, ((1 << w) - 1) & ~to_mask(order))
-            raise InputError(f"not antisymmetric: {u} and {v} are in a cycle")
+                if u > v:
+                    rising = False
+        if rising:  # then 1..w is the least linear extension and no cycle is possible
+            order = range(1, w + 1)
+        else:
+            # Kahn's sort with a min-heap: an element becomes available once
+            # all of its predecessors are placed, which is the same moment for
+            # any relation list generating the order, so popping the least
+            # available label gives the lexicographically least extension.
+            indeg = [m.bit_count() for m in pred]
+            heap = [e for e in range(1, w + 1) if not indeg[e]]  # sorted, so a heap
+            order = []
+            while heap:
+                u = heapq.heappop(heap)
+                order.append(u)
+                for v in bit_positions(succ[u]):
+                    indeg[v] -= 1
+                    if not indeg[v]:
+                        heapq.heappush(heap, v)
+            if len(order) < w:
+                u, v = _first_cycle_pair(succ, pred, ((1 << w) - 1) & ~to_mask(order))
+                raise InputError(f"not antisymmetric: {u} and {v} are in a cycle")
         self.linext = tuple(order)
         self.down_masks, self.lower_cover_masks = _closure_and_covers(order, pred)
         self.up_masks, self.upper_cover_masks = _closure_and_covers(reversed(order), succ)

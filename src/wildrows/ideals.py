@@ -23,9 +23,12 @@ def natural_base(p: Poset) -> ImplicationFamily:
 
     Minimal elements yield vacuous implications (kept for the h = w count).
     Implications are ordered by the poset's linear extension, which downstream
-    engines rely on for determinism.
+    engines rely on for determinism.  Built without `from_masks`' checks:
+    the poset's masks lie in 1..w, and no lower cover mask holds its own
+    element, so every conclusion already excludes its premise.
     """
-    return ImplicationFamily.from_masks(p.w, ((1 << (q - 1), p.lower_cover_masks[q]) for q in p.linext))
+    covers = p.lower_cover_masks
+    return ImplicationFamily._trusted(p.w, tuple((1 << (q - 1), covers[q]) for q in p.linext))
 
 
 def down_closure_mask(p: Poset):

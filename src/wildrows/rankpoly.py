@@ -84,6 +84,7 @@ def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, i
     down, up = p.down_masks, p.up_masks
     comp = _comparability(p)
     cache: dict[int, tuple[list[int], int]] = {}
+    leaves: dict[int, list[int]] = {}  # n -> the antichain row (1 + x)^n, built on first use
     max_cached = _CACHE_MAX_CELLS // (p.w + 1)
     # Explicit stack, so the depth never meets the interpreter's recursion
     # limit.  A task (subset, 0) evaluates the subset; (subset, a) combines
@@ -106,6 +107,9 @@ def rank_poly_recursive(p: Poset, memo: bool = False) -> tuple[RankPolynomial, i
         elif a := _pivot(subset, comp):
             tasks += [(subset, a), (subset & ~down[a], 0), (subset & ~up[a], 0)]
         else:
-            values.append((binomial_row(subset.bit_count()), 1))
+            n = subset.bit_count()  # the row is shared: poly_add copies, never mutates
+            if n not in leaves:
+                leaves[n] = binomial_row(n)
+            values.append((leaves[n], 1))
     poly, nsum = values.pop()
     return RankPolynomial(poly), (None if memo else nsum)

@@ -127,3 +127,65 @@ def wide_instances():
 @pytest.mark.parametrize("w,relations", list(wide_instances()))
 def test_poset_matches_warshall_reference_on_multiword_masks(w, relations):
     test_poset_matches_warshall_reference(w, relations)
+
+
+def rising_relations(rng, w):
+    """Pairs u < v, with duplicates and self-loops mixed in: every pair
+    u != v rises in label."""
+    rels = []
+    for _ in range(rng.below(2 * w + 2) if w else 0):
+        u, v = sorted((1 + rng.below(w), 1 + rng.below(w)))
+        rels.append((u, v))  # u == v now and then: a self-loop
+        kind = rng.below(6)
+        if kind == 0:
+            rels.append(rels[rng.below(len(rels))])
+        elif kind == 1:
+            e = 1 + rng.below(w)
+            rels.append((e, e))
+    return rels
+
+
+def rising_instances():
+    """Rising relation lists on w = 0, 1, a few small sizes and masks of one
+    and two 64-bit words; each also with out-of-range pairs at the start, in
+    the middle and at the end (two of them, so the first must be named),
+    and with one reversed pair appended, which closes a cycle."""
+    rng = SplitMix64(0x5EED_0021)
+    for w in (0, 1, 1, 2, 3, 5, 8, 12, 12, 40, 64, 70):
+        rels = rising_relations(rng, w)
+        yield w, rels
+        yield w, rels + rels[: len(rels) // 2] + [(e, e) for e in range(1, w + 1)]
+        mid = len(rels) // 2
+        for bad in ((0, 1), (1, w + 1), (w + 1, w + 2), (-1, w)):
+            yield w, [bad] + rels
+            yield w, rels[:mid] + [bad] + rels[mid:] + [(w + 5, 1)]
+            yield w, rels + [bad]
+        steps = [(u, v) for u, v in rels if u < v]
+        if steps:
+            u, v = steps[rng.below(len(steps))]
+            yield w, rels + [(v, u)]
+        if w >= 3:
+            yield w, [(i, i + 1) for i in range(1, w)] + [(w, 1)]  # a cycle through every label
+
+
+RISING = list(rising_instances())
+
+
+def test_the_rising_instances_cover_the_edge_cases():
+    ws = {w for w, _ in RISING}
+    assert {0, 1} <= ws and any(w <= 64 for w in ws if w > 1) and any(w > 64 for w in ws)
+    ok = [(w, rels) for w, rels in RISING if reference(w, rels)[0] == "ok"]
+    assert any(len(rels) > len(set(rels)) for _, rels in ok)
+    assert any(u == v for _, rels in ok for u, v in rels)
+    assert any(w == 1 and rels for w, rels in ok)
+    errors = [reference(w, rels)[1] for w, rels in RISING if reference(w, rels)[0] == "error"]
+    assert any(text.startswith("not antisymmetric") for text in errors)
+    assert any(text.startswith("relation (") for text in errors)
+
+
+@pytest.mark.parametrize("w,relations", RISING)
+def test_rising_relations_match_warshall_reference(w, relations, monkeypatch):
+    if all(u <= v for u, v in relations):
+        # every pair in range rises: the topological sort must not run
+        monkeypatch.setattr("wildrows.core.heapq", None)
+    test_poset_matches_warshall_reference(w, relations)

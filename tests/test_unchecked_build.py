@@ -1,6 +1,7 @@
-"""Rows and polynomials that the library builds without the constructors'
-checks (`Record._trusted`) equal their rebuilds through the checking public
-constructors, field for field."""
+"""Rows, polynomials and natural bases that the library builds without the
+constructors' checks (`Record._trusted`) equal their rebuilds through the
+checking public constructors, field for field; the engine's one-pass premise
+table equals the general build."""
 
 import pickle
 from types import SimpleNamespace
@@ -10,8 +11,22 @@ from conftest import random_poset
 from test_rankpoly import shuffled_layered
 from test_whitney_golden import LAYERED, NAMES, poset
 
-from wildrows import Poset, RankPolynomial, RowAB, SplitMix64, ab_enumerate, cardinality_poly
+from wildrows import (
+    ImplicationFamily,
+    Poset,
+    RankPolynomial,
+    RowAB,
+    SplitMix64,
+    Tree,
+    ab_enumerate,
+    cardinality_poly,
+    gen_random_tree,
+    natural_base,
+    tree_base,
+)
+from wildrows.closure import premise_index
 from wildrows.core import poly_add, poly_mul
+from wildrows.engine import _premise_table
 
 
 def posets():
@@ -116,3 +131,60 @@ def test_shifted_refuses_a_negative_shift():
         p.shifted(-1)
     assert p.shifted(0) == p
     assert RankPolynomial.zero().shifted(3).coefficients == ()
+
+
+@pytest.mark.parametrize("name, p", POSETS, ids=[name for name, _ in POSETS])
+def test_natural_base_equals_its_checked_build(name, p):
+    got = natural_base(p)
+    want = ImplicationFamily.from_masks(p.w, ((1 << (q - 1), p.lower_cover_masks[q]) for q in p.linext))
+    assert vars(got) == vars(want)  # w and masks, nothing cached yet
+    assert type(got.masks) is tuple and all(type(pair) is tuple for pair in got.masks)
+    assert got == want and hash(got) == hash(want)
+    assert got.masks == want.masks
+    assert got.implications == want.implications
+    again = pickle.loads(pickle.dumps(got))
+    assert again == want and hash(again) == hash(want) and again.masks == want.masks
+    assert again.implications == want.implications
+
+
+def general_premise_table(w, masks):
+    """table[e] as the OR of 1 << i over premise_index's list for e."""
+    return [0] + [sum(1 << i for i in indices) for indices in premise_index(w, masks)[1:]]
+
+
+def families():
+    """Natural bases, tree bases, and singleton-premise families with an
+    empty premise, with a two-element premise last, with several
+    implications on one premise element and with more than 64 members."""
+    named = [(f"natural-{name}", natural_base(p)) for name, p in POSETS]
+    trees = [("path-1", Tree(1, [])), ("path-6", Tree(6, [(i, i + 1) for i in range(1, 6)])),
+             ("star-7", Tree(7, [(1, i) for i in range(2, 8)]))]
+    trees += [(f"random-tree-{w}", gen_random_tree(w, 11 * w)) for w in (2, 5, 9, 14)]
+    named += [(f"tree-{name}", tree_base(t)) for name, t in trees]
+    singles = [(1 << 2, 0b1), (0, 0b10), (1 << 0, 0b100), (1 << 2, 0b10000), (0, 0), (1 << 4, 0b1000)]
+    named.append(("empty-premises", ImplicationFamily.from_masks(5, singles)))
+    named.append(("pair-premise-last", ImplicationFamily.from_masks(5, singles + [(0b11000, 0b1)])))
+    named.append(("pair-premise-first", ImplicationFamily.from_masks(5, [(0b11000, 0b1)] + singles)))
+    rng = SplitMix64(2101)
+    wide = [(1 << rng.below(9), 1 << rng.below(9)) for _ in range(150)]
+    named.append(("wide-singletons", ImplicationFamily.from_masks(9, wide)))
+    named.append(("wide-pair-last", ImplicationFamily.from_masks(9, wide + [(0b110000000, 0b1)])))
+    named.append(("no-implications", ImplicationFamily(4, ())))
+    return named
+
+
+FAMILIES = families()
+
+
+def test_the_families_cover_the_edge_cases():
+    premises = [[prem for prem, _ in f.masks] for _, f in FAMILIES]
+    assert any(0 in prems and all(p & (p - 1) == 0 for p in prems) for prems in premises)
+    assert any(prems and all(p & (p - 1) == 0 for p in prems[:-1]) and prems[-1].bit_count() == 2
+               for prems in premises)
+    assert any(prems and prems[0].bit_count() == 2 for prems in premises)  # tree bases
+    assert any(len(prems) > 64 for prems in premises)
+
+
+@pytest.mark.parametrize("name, family", FAMILIES, ids=[name for name, _ in FAMILIES])
+def test_premise_table_equals_the_general_build(name, family):
+    assert _premise_table(family.w, family.masks) == general_premise_table(family.w, family.masks)
