@@ -6,9 +6,11 @@ their unique path.  All tree paths come from one table of root-path masks,
 read off the tree's breadth-first traversal from vertex 1 (`Tree.bfs_order`,
 `Tree.bfs_parent`): a base implication's interior is a few mask operations,
 and a Steiner closure takes O(|seed|) of them.  The feasibility test grows
-one component of the forbidden-vertex-free forest, up to k vertices; the
-k-subtree enumerator carries each stacked row's Steiner accumulators, so a
-son closes only its new ones.
+one component of the forbidden-vertex-free forest, up to k vertices, and
+returns it as the row's witness.  The k-subtree enumerator carries each
+stacked row's Steiner accumulators and witness: a son closes only its new
+ones, and a son whose closure stays inside its father's witness, with no new
+zero in it, is feasible by that witness without growing a component.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ def tree_base(t: Tree) -> ImplicationFamily:
             pairs.append((ends, (up[a] ^ up[b] | tip[up[a] & up[b]]) & ~ends))
     # stable, also in reverse: equal lengths keep their (a, b) order
     pairs.sort(key=lambda pair: pair[1].bit_count(), reverse=True)
-    return ImplicationFamily.from_masks(t.w, pairs)
+    # every mask lies in 1..w and no interior holds its ends, so from_masks'
+    # checks and its conc & ~prem pass would change nothing
+    return ImplicationFamily._trusted(t.w, tuple(pairs))
 
 
 def _steiner(up, tip, union: int, common: int, seed: int) -> tuple[int, int, int]:
@@ -146,25 +150,33 @@ def _component(seed: int, allowed: int, neighbor_masks, k: int) -> int:
     return comp
 
 
-def _fits(z0: int, zeros: int, full: int, nbr, k: int | None) -> bool:
-    """Whether a k-vertex subtree holds the subtree z0 and avoids the
-    zeros (k=None: a subtree of any size)."""
+def _witness(z0: int, zeros: int, full: int, nbr, k: int | None) -> int | None:
+    """A connected vertex set that holds the subtree z0, avoids the zeros
+    and has at least k vertices, or None when no k-vertex subtree holds z0
+    and avoids the zeros (k=None: a subtree of any size, witnessed by z0).
+
+    For a non-empty z0 the witness is z0's component in the zero-free
+    forest, grown only until it reaches k vertices; for an empty z0, the
+    first such component in vertex order, or the empty set when k = 0."""
     if z0 & zeros:
-        return False
+        return None
     if k is None:
-        return True
+        return z0
     forest = full & ~zeros
     if z0:
-        return z0.bit_count() <= k and _component(z0, forest, nbr, k).bit_count() >= k
+        if z0.bit_count() > k:
+            return None
+        comp = _component(z0, forest, nbr, k)
+        return comp if comp.bit_count() >= k else None
     if k == 0:
-        return True
+        return 0
     rest = forest
     while rest:
         comp = _component(rest & -rest, forest, nbr, k)
         if comp.bit_count() >= k:
-            return True
+            return comp
         rest &= ~comp
-    return False
+    return None
 
 
 def subtree_oracle(t: Tree) -> FeasibilityOracle:
@@ -186,7 +198,7 @@ def subtree_oracle(t: Tree) -> FeasibilityOracle:
 
     def oracle(ones, zeros, k):
         ones = _loose_mask(ones, w)
-        return not ones >> w and _fits(close(ones), _loose_mask(zeros, w), full, nbr, k)
+        return not ones >> w and _witness(close(ones), _loose_mask(zeros, w), full, nbr, k) is not None
 
     return oracle
 
@@ -195,10 +207,14 @@ def enumerate_k_subtrees(t: Tree, k: int) -> FinalStack:
     """All k-vertex subtrees of t, each exactly once, as disjoint rows.
 
     k=0 yields the empty set, k=1 all singletons (both count as subtrees).
-    Each stacked row carries the Steiner accumulators of its ones and their
-    closure, so a son pays root paths only for its ones outside that
-    closure; the rows and counters are those of `enumerate_k_models` with
-    `subtree_oracle` and `steiner_closure_mask`.
+    Each stacked row carries the Steiner accumulators of its ones, their
+    closure z0 and a witness: the connected set, found by `_witness`, that
+    proved the row feasible.  A son pays root paths only for its ones
+    outside its father's closure.  When its closure stays inside the
+    father's witness and its one new zero (if any) misses it, that witness
+    proves the son feasible too, and only |z0| <= k is left to test;
+    otherwise the son grows its own witness.  The rows and counters are
+    those of `enumerate_k_models` with `subtree_oracle`.
     """
     family = tree_base(t)
     up, tip = _path_table(t)
@@ -209,9 +225,13 @@ def enumerate_k_subtrees(t: Tree, k: int) -> FinalStack:
         # the root (state None) has no ones; a vertex inside the closure
         # already lies on the union and below the common path, so it leaves
         # both accumulators unchanged
-        union, common, z0 = state or (0, -1, 0)
+        union, common, z0, witness = state or (0, -1, 0, 0)
         if ones & ~z0:
             union, common, z0 = _steiner(up, tip, union, common, ones & ~z0)
-        return (union, common, z0) if _fits(z0, full & ~(ones | twos), full, nbr, k) else None
+        # a son's zeros are its father's, which miss the witness, plus e
+        if state is not None and not z0 & ~witness and not (e and witness >> (e - 1) & 1):
+            return (union, common, z0, witness) if z0.bit_count() <= k else None
+        witness = _witness(z0, full & ~(ones | twos), full, nbr, k)
+        return None if witness is None else (union, common, z0, witness)
 
     return _lifo_k(family, k, admit)

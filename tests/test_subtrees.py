@@ -13,6 +13,7 @@ from wildrows import (
     brute_oracle,
     brute_subtrees,
     close,
+    enumerate_k_models,
     enumerate_k_subtrees,
     enumerate_models,
     gen_random_tree,
@@ -22,7 +23,7 @@ from wildrows import (
     tree_base,
 )
 from wildrows import subtrees
-from wildrows.core import to_mask
+from wildrows.core import from_mask, to_mask
 from wildrows.subtrees import TREE_BASE_MAX_CELLS, TREE_BASE_MAX_LENGTH, _base_length, steiner_closure_mask
 
 
@@ -383,3 +384,74 @@ def test_tree_base_golden(key):
         for imp in fam
     )
     assert (fam.h, hashlib.sha256(text.encode()).hexdigest()[:16]) == TREE_BASE_GOLDEN[key]
+
+
+
+def witness_trees():
+    """Seeded random trees with w <= 16, paths and stars, w = 1 and 2."""
+    rng = SplitMix64(151)
+    named = [(f"random-{i}", gen_random_tree(1 + rng.below(16), rng.next_u64())) for i in range(10)]
+    named += [(f"path-{w}", Tree.path_graph(w)) for w in (1, 2, 7, 16)]
+    return named + [(f"star-{w}", Tree.star(w)) for w in (3, 9, 16)]
+
+
+@pytest.mark.parametrize("name, t", witness_trees(), ids=[name for name, _ in witness_trees()])
+def test_every_admitted_state_holds_a_valid_witness(name, t, monkeypatch):
+    # each state the admit returns is (union, common, z0, witness): the
+    # witness is a connected vertex set holding z0, missing the son's zeros,
+    # with at least k vertices; z0 is the closure of the son's ones
+    full = (1 << t.w) - 1
+    close = steiner_closure_mask(t)
+    lifo_k, witness_of = subtrees._lifo_k, subtrees._witness
+    count = {"admits": 0, "admitted": 0, "witness_calls": 0}
+
+    def checking_lifo_k(family, k, admit):
+        def checked(state, ones, twos, e):
+            son = admit(state, ones, twos, e)
+            count["admits"] += 1
+            if son is not None:
+                _, _, z0, witness = son
+                assert z0 == close(ones)
+                assert is_connected(t, from_mask(witness))
+                assert not z0 & ~witness
+                assert not witness & full & ~(ones | twos)
+                assert witness.bit_count() >= k
+                count["admitted"] += 1
+            return son
+
+        return lifo_k(family, k, checked)
+
+    def counting_witness(*args):
+        count["witness_calls"] += 1
+        return witness_of(*args)
+
+    monkeypatch.setattr(subtrees, "_lifo_k", checking_lifo_k)
+    monkeypatch.setattr(subtrees, "_witness", counting_witness)
+    for k in range(t.w + 1):
+        before = dict(count)
+        stats = enumerate_k_subtrees(t, k).stats
+        assert count["admits"] - before["admits"] == stats.candidate_sons + 1
+        assert count["admitted"] - before["admitted"] == stats.candidate_sons - stats.killed_candidates + 1
+    # the father's witness settles some admits without a new test
+    assert count["witness_calls"] < count["admits"] or t.w < 3
+
+
+def differential_trees():
+    """Seeded random trees of w 20-30 (seeds no benchmark run draws), a
+    40-star and a 30-path."""
+    rng = SplitMix64(20261019)
+    named = [(f"random-{i}", gen_random_tree(20 + rng.below(11), rng.next_u64())) for i in range(4)]
+    return named + [("star-40", Tree.star(40)), ("path-30", Tree.path_graph(30))]
+
+
+@pytest.mark.parametrize("name, t", differential_trees(), ids=[name for name, _ in differential_trees()])
+def test_enumerate_k_subtrees_equals_the_generic_engine_at_scale(name, t):
+    # the generic path closes by the family's own forward chaining and asks
+    # subtree_oracle about every son from scratch
+    family = tree_base(t)
+    oracle = subtree_oracle(t)
+    for k in sorted({*range(9), *range(t.w - 2, t.w + 1)}):
+        fast = enumerate_k_subtrees(t, k)
+        plain = enumerate_k_models(family, k, oracle)
+        assert [r.entries for r in fast.rows] == [r.entries for r in plain.rows], k
+        assert fast.stats._values() == plain.stats._values(), k

@@ -1,7 +1,7 @@
-"""Rows, polynomials and natural bases that the library builds without the
-constructors' checks (`Record._trusted`) equal their rebuilds through the
-checking public constructors, field for field; the engine's one-pass premise
-table equals the general build."""
+"""Rows, polynomials, natural bases and tree bases that the library builds
+without the constructors' checks (`Record._trusted`) equal their rebuilds
+through the checking public constructors, field for field; the engine's
+one-pass premise table equals the general build."""
 
 import pickle
 from types import SimpleNamespace
@@ -25,7 +25,7 @@ from wildrows import (
     tree_base,
 )
 from wildrows.closure import premise_index
-from wildrows.core import poly_add, poly_mul
+from wildrows.core import poly_add, poly_mul, to_mask
 from wildrows.engine import _premise_table
 
 
@@ -137,6 +137,64 @@ def test_shifted_refuses_a_negative_shift():
 def test_natural_base_equals_its_checked_build(name, p):
     got = natural_base(p)
     want = ImplicationFamily.from_masks(p.w, ((1 << (q - 1), p.lower_cover_masks[q]) for q in p.linext))
+    assert vars(got) == vars(want)  # w and masks, nothing cached yet
+    assert type(got.masks) is tuple and all(type(pair) is tuple for pair in got.masks)
+    assert got == want and hash(got) == hash(want)
+    assert got.masks == want.masks
+    assert got.implications == want.implications
+    again = pickle.loads(pickle.dumps(got))
+    assert again == want and hash(again) == hash(want) and again.masks == want.masks
+    assert again.implications == want.implications
+
+
+def tree_path(t, a, b):
+    """The vertices of the path from a to b, by a breadth-first search."""
+    parent = {a: a}
+    queue = [a]
+    for u in queue:
+        for v in t.neighbors(u):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path
+
+
+def trees():
+    """w = 1, 2 and 3, paths, stars, vertex 1 inside and at a leaf, and
+    seeded random trees."""
+    named = [(f"path-{w}", Tree.path_graph(w)) for w in (1, 2, 3, 4, 9, 17)]
+    named += [(f"star-{w}", Tree.star(w)) for w in (3, 4, 9, 17)]
+    named += [("middle-root", Tree(6, [(3, 1), (1, 5), (3, 2), (5, 4), (4, 6)])),
+              ("leaf-root", Tree(4, [(2, 1), (2, 3), (3, 4)]))]
+    rng = SplitMix64(2203)
+    named += [(f"random-{i}", gen_random_tree(1 + rng.below(30), rng.next_u64())) for i in range(16)]
+    return named
+
+
+TREES = trees()
+
+
+def test_the_trees_cover_the_edge_cases():
+    assert {1, 2, 3} <= {t.w for _, t in TREES}
+    assert any(tree_base(t).h > 64 for _, t in TREES)
+
+
+@pytest.mark.parametrize("name, t", TREES, ids=[name for name, _ in TREES])
+def test_tree_base_equals_its_checked_build(name, t):
+    got = tree_base(t)
+    # every non-adjacent pair's ends and the rest of its path, found by
+    # search; longest interiors first, ties in (a, b) order
+    pairs = []
+    for a in t.vertices:
+        for b in range(a + 1, t.w + 1):
+            if b not in t.neighbors(a):
+                path = tree_path(t, a, b)
+                pairs.append((to_mask((a, b)), to_mask(path)))
+    pairs.sort(key=lambda pair: (pair[1] & ~pair[0]).bit_count(), reverse=True)
+    want = ImplicationFamily.from_masks(t.w, pairs)
     assert vars(got) == vars(want)  # w and masks, nothing cached yet
     assert type(got.masks) is tuple and all(type(pair) is tuple for pair in got.masks)
     assert got == want and hash(got) == hash(want)
