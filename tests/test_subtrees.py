@@ -386,7 +386,6 @@ def test_tree_base_golden(key):
     assert (fam.h, hashlib.sha256(text.encode()).hexdigest()[:16]) == TREE_BASE_GOLDEN[key]
 
 
-
 def witness_trees():
     """Seeded random trees with w <= 16, paths and stars, w = 1 and 2."""
     rng = SplitMix64(151)
@@ -395,7 +394,10 @@ def witness_trees():
     return named + [(f"star-{w}", Tree.star(w)) for w in (3, 9, 16)]
 
 
-@pytest.mark.parametrize("name, t", witness_trees(), ids=[name for name, _ in witness_trees()])
+WITNESS_TREES = witness_trees()
+
+
+@pytest.mark.parametrize("name, t", WITNESS_TREES, ids=[name for name, _ in WITNESS_TREES])
 def test_every_admitted_state_holds_a_valid_witness(name, t, monkeypatch):
     # each state the admit returns is (union, common, z0, witness): the
     # witness is a connected vertex set holding z0, missing the son's zeros,
@@ -444,7 +446,10 @@ def differential_trees():
     return named + [("star-40", Tree.star(40)), ("path-30", Tree.path_graph(30))]
 
 
-@pytest.mark.parametrize("name, t", differential_trees(), ids=[name for name, _ in differential_trees()])
+DIFFERENTIAL_TREES = differential_trees()
+
+
+@pytest.mark.parametrize("name, t", DIFFERENTIAL_TREES, ids=[name for name, _ in DIFFERENTIAL_TREES])
 def test_enumerate_k_subtrees_equals_the_generic_engine_at_scale(name, t):
     # the generic path closes by the family's own forward chaining and asks
     # subtree_oracle about every son from scratch

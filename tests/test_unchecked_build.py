@@ -185,14 +185,14 @@ def test_the_trees_cover_the_edge_cases():
 @pytest.mark.parametrize("name, t", TREES, ids=[name for name, _ in TREES])
 def test_tree_base_equals_its_checked_build(name, t):
     got = tree_base(t)
-    # every non-adjacent pair's ends and the rest of its path, found by
-    # search; longest interiors first, ties in (a, b) order
+    # every non-adjacent pair's ends and its whole path, found by search
+    # (from_masks drops the ends from the conclusion); longest interiors
+    # first, ties in (a, b) order
     pairs = []
     for a in t.vertices:
         for b in range(a + 1, t.w + 1):
             if b not in t.neighbors(a):
-                path = tree_path(t, a, b)
-                pairs.append((to_mask((a, b)), to_mask(path)))
+                pairs.append((to_mask((a, b)), to_mask(tree_path(t, a, b))))
     pairs.sort(key=lambda pair: (pair[1] & ~pair[0]).bit_count(), reverse=True)
     want = ImplicationFamily.from_masks(t.w, pairs)
     assert vars(got) == vars(want)  # w and masks, nothing cached yet
