@@ -3,11 +3,11 @@
 `enumerate_models` imposes the family's implications one at a time, always
 on the topmost working-stack row, excluding the violating sets by splitting
 the row into disjoint sons; the final stack partitions the full model
-family.  `enumerate_k_models` is
-the deletion-free fixed-cardinality variant: every candidate son is tested
-against a feasibility oracle before it may enter the stack, so no stacked
-row is ever discarded and the number of final rows never exceeds the number
-of k-element models.
+family.  `enumerate_k_models` is the deletion-free fixed-cardinality
+variant: every candidate son is tested against a feasibility oracle as the
+loop makes it, before it may enter the stack, so no stacked row is ever
+discarded and the number of final rows never exceeds the number of
+k-element models.
 
 Most impositions on subtree bases are carry-overs: the row's zeros block the
 premise, or the conclusion is already forced, and the row goes on
@@ -112,42 +112,31 @@ class FinalStack(Record):
                 yield from row012_k_members(r, k)
 
 
-def _split(ones, twos, prem, conc):
-    """Sons of the row (ones, twos) that the implication (prem, conc) splits:
-    its premise misses the row's zeros and its conclusion is not yet forced.
-
-    Returns (ones, twos, e, None) in processing order, e being the element
-    the son turns to zero: staircase rows over the free premise positions
-    ascending, then (when no conclusion position is zero) the row with
-    premise and conclusion forced to one, with e = 0.  The last slot holds
-    the son's feasibility state once it is admitted.  An empty list means no
-    member survives the constraint.
-    """
-    sons = []
-    seen = 0
-    free = prem & twos
-    while free:
-        low = free & -free
-        sons.append((ones | seen, twos & ~(seen | low), low.bit_length(), None))
-        seen |= low
-        free ^= low
-    if not conc & ~(ones | twos):
-        forced = prem | conc
-        sons.append((ones | forced, twos & ~forced, 0, None))
-    return sons
-
-
 def candidate_sons(r: Row012, imp: Implication) -> list[Row012]:
     """Rows whose disjoint union is exactly the members of `r` satisfying
     `imp`; an empty list encodes deletion.  Sons carry pending advanced by
     one; at most max(|premise|+1, 1) rows are returned.  A carry-over
     (premise blocked by a zero, or conclusion already forced) returns the
-    row itself.  A label of `imp` outside 1..w raises InputError."""
+    row itself.  A label of `imp` outside 1..w raises InputError.  Else the
+    sons, in processing order: a staircase row per free premise position,
+    ascending, then (no conclusion position being zero) the forced row;
+    `_lifo` makes its sons by this rule inline."""
     prem, conc = _within(imp.premise, r.w), _within(imp.conclusion, r.w)
-    ones, twos = r.ones_mask, r.twos_mask
+    ones, twos, pending = r.ones_mask, r.twos_mask, r.pending + 1
     if prem & r.zeros_mask or not conc & ~ones:
-        return [Row012(r.w, ones, twos, r.pending + 1)]
-    return [Row012(r.w, o, t, r.pending + 1) for o, t, _, _ in _split(ones, twos, prem, conc)]
+        return [Row012(r.w, ones, twos, pending)]
+    sons = []
+    seen = 0
+    free = prem & twos
+    while free:
+        low = free & -free
+        sons.append(Row012(r.w, ones | seen, twos & ~(seen | low), pending))
+        seen |= low
+        free ^= low
+    if not conc & ~(ones | twos):
+        forced = prem | conc
+        sons.append(Row012(r.w, ones | forced, twos & ~forced, pending))
+    return sons
 
 
 def _premise_table(w: int, masks) -> list[int]:
@@ -186,7 +175,9 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
     set while implication i is still pending (i >= pending) and its premise
     misses the row's zeros.  A pop jumps over the premise-blocked
     carry-overs with bit_length and tests only the conclusions of the open
-    implications, one by one.
+    implications, one by one.  A split makes its sons in processing order
+    (the rule of `candidate_sons`), vets each as it is made, builds the
+    stack tuple of each admitted one, and pushes them all at once.
 
     state is the row's feasibility state, whatever admit returned for it.
     admit(state, ones, twos, e) vets the son (ones, twos) of a row with
@@ -218,21 +209,38 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
             final.append(Row012(w, ones, twos, h + 1))
             continue
         impositions += pending - start + 1
-        sons = _split(ones, twos, prem, conc)
-        split = len(sons)
+        # staircase sons, then the forced son; the premise misses the zeros,
+        # so the staircase leaves o = ones | prem and t = twos & ~prem
+        pending += 1
+        sons = []
+        o, t = ones, twos
+        free = prem & twos
+        split = free.bit_count()
+        while free:
+            low = free & -free
+            free ^= low
+            t ^= low
+            e = low.bit_length()
+            s = state if admit is None else admit(state, o, t, e)
+            if s is not None:
+                # the new zero e blocks every premise holding it
+                sons.append((o, t, pending, open_ & out_prem[e], s))
+            o |= low
+        if not conc & ~(ones | twos):
+            split += 1
+            o, t = o | conc, t & ~conc
+            s = state if admit is None else admit(state, o, t, 0)
+            if s is not None:
+                sons.append((o, t, pending, open_, s))
         candidates += split
-        if admit is not None:
-            sons = [(o, t, e, s) for o, t, e, _ in sons if (s := admit(state, o, t, e)) is not None]
-            killed += split - len(sons)
+        killed += split - len(sons)
         if not sons:
             # no member survives; unreachable under a consistent feasibility
             # filter, since a feasible row keeps at least one son feasible
             deletions += 1
             continue
-        # a staircase son gains the zero e, which blocks every premise holding
-        # e; the forced son (e = 0) keeps open as it is
-        for o, t, e, son_state in reversed(sons):
-            stack.append((o, t, pending + 1, open_ & out_prem[e], son_state))
+        sons.reverse()
+        stack += sons
     stats = EngineStats(impositions, candidates, killed, deletions, len(final))
     return FinalStack(tuple(final), stats)
 

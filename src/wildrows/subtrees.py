@@ -106,13 +106,17 @@ def tree_base(t: Tree) -> ImplicationFamily:
 def _steiner(up, tip, union: int, common: int, seed: int) -> tuple[int, int, int]:
     """Extend the OR (union) and AND (common) of root paths by the seed's
     vertices; returns them with the closure they span.  Start from
-    (0, -1); the closure of no vertex is empty."""
+    (0, -1); the closure of no vertex is empty.  A fold skips the seed's
+    vertices in union & ~common: each lies on a folded root path below the
+    common path, so its own root path, a prefix of that one holding the
+    common path, would change neither accumulator.  Vertices on the common
+    path are still folded: they can raise the lowest common ancestor."""
     while seed:
         low = seed & -seed
         v = low.bit_length()
         union |= up[v]
         common &= up[v]
-        seed ^= low
+        seed &= ~(union & ~common | low)
     return union, common, (union & ~common | tip[common] if union else 0)
 
 
