@@ -17,7 +17,8 @@ blocked ones with `bit_length`, and a son that gains a zero drops the
 premises holding it in one AND.  Processing order, rows and counters are
 those of imposing every implication in turn.  A stacked row also carries
 the feasibility state its admission test returned, so the test of a son
-can update its father's state instead of starting over.
+can update its father's state instead of starting over.  A split goes on
+with its first admitted son in place, and stacks only the others.
 """
 
 from __future__ import annotations
@@ -176,8 +177,10 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
     misses the row's zeros.  A pop jumps over the premise-blocked
     carry-overs with bit_length and tests only the conclusions of the open
     implications, one by one.  A split makes its sons in processing order
-    (the rule of `candidate_sons`), vets each as it is made, builds the
-    stack tuple of each admitted one, and pushes them all at once.
+    (the rule of `candidate_sons`) and vets each as it is made.  It goes
+    on with the first admitted son in place and pushes the others in
+    reverse, to be processed in order after it, so pops = final rows +
+    deletions (final rows alone in the deletion-free variant).
 
     state is the row's feasibility state, whatever admit returned for it.
     admit(state, ones, twos, e) vets the son (ones, twos) of a row with
@@ -185,7 +188,8 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
     (the forced son), and returns the son's state, or None to refuse it;
     the root is vetted as admit(None, 0, full, 0).  So admit can update the
     father's state for the son's new ones and its new zero rather than
-    derive it from the whole row.
+    derive it from the whole row, and may return the father's state object
+    itself for a son whose change it would not alter.
     """
     w, h = family.w, family.h
     masks = family.masks
@@ -197,50 +201,60 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
     stack = [] if root is None else [(0, full, 1, (1 << h) - 1, root)]
     while stack:
         ones, twos, start, open_, state = stack.pop()
-        while open_:
-            low = open_ & -open_
-            open_ ^= low
-            pending = low.bit_length()
-            prem, conc = masks[pending - 1]
-            if conc & ~ones:
+        while True:
+            while open_:
+                low = open_ & -open_
+                open_ ^= low
+                pending = low.bit_length()
+                prem, conc = masks[pending - 1]
+                if conc & ~ones:
+                    break
+            else:
+                impositions += h - start + 1
+                final.append(Row012(w, ones, twos, h + 1))
                 break
-        else:
-            impositions += h - start + 1
-            final.append(Row012(w, ones, twos, h + 1))
-            continue
-        impositions += pending - start + 1
-        # staircase sons, then the forced son; the premise misses the zeros,
-        # so the staircase leaves o = ones | prem and t = twos & ~prem
-        pending += 1
-        sons = []
-        o, t = ones, twos
-        free = prem & twos
-        split = free.bit_count()
-        while free:
-            low = free & -free
-            free ^= low
-            t ^= low
-            e = low.bit_length()
-            s = state if admit is None else admit(state, o, t, e)
-            if s is not None:
-                # the new zero e blocks every premise holding it
-                sons.append((o, t, pending, open_ & out_prem[e], s))
-            o |= low
-        if not conc & ~(ones | twos):
-            split += 1
-            o, t = o | conc, t & ~conc
-            s = state if admit is None else admit(state, o, t, 0)
-            if s is not None:
-                sons.append((o, t, pending, open_, s))
-        candidates += split
-        killed += split - len(sons)
-        if not sons:
-            # no member survives; unreachable under a consistent feasibility
-            # filter, since a feasible row keeps at least one son feasible
-            deletions += 1
-            continue
-        sons.reverse()
-        stack += sons
+            impositions += pending - start + 1
+            # staircase sons, then the forced son; the premise misses the
+            # zeros, so the staircase leaves o = ones | prem and t = twos & ~prem
+            start = pending + 1
+            mark, kept = len(stack), 0
+            o, t = ones, twos
+            free = prem & twos
+            split = free.bit_count()
+            while free:
+                low = free & -free
+                free ^= low
+                t ^= low
+                e = low.bit_length()
+                s = state if admit is None else admit(state, o, t, e)
+                if s is not None:
+                    # the new zero e blocks every premise holding it
+                    if kept:
+                        stack.append((o, t, start, open_ & out_prem[e], s))
+                    else:
+                        next_row = o, t, open_ & out_prem[e], s
+                    kept += 1
+                o |= low
+            if not conc & ~(ones | twos):
+                split += 1
+                o, t = o | conc, t & ~conc
+                s = state if admit is None else admit(state, o, t, 0)
+                if s is not None:
+                    if kept:
+                        stack.append((o, t, start, open_, s))
+                    else:
+                        next_row = o, t, open_, s
+                    kept += 1
+            candidates += split
+            killed += split - kept
+            if not kept:
+                # no member survives; unreachable under a consistent filter,
+                # since a feasible row keeps at least one son feasible
+                deletions += 1
+                break
+            if kept > 2:  # so the second son is popped first
+                stack[mark:] = stack[mark:][::-1]
+            ones, twos, open_, state = next_row
     stats = EngineStats(impositions, candidates, killed, deletions, len(final))
     return FinalStack(tuple(final), stats)
 

@@ -4,10 +4,10 @@ Feasibility of a row (ones, zeros) for cardinality k: every ideal avoiding
 the zeros sits inside the complement of the filter they generate, and
 because that complement shells down to the down-closure of the ones one
 element at a time, every cardinality in between is realized.  The k-ideal
-enumerator carries both masks on each stacked row, so vetting a son costs
-O(1) mask operations plus the down-sets of the son's new ones: a staircase
-son adds the up-set of its one new zero to the filter, the forced son the
-down-sets of its new ones to the closure.
+enumerator carries both masks on each stacked row: a staircase son adds the
+up-set of its new zero to the filter, the forced son the down-sets of its
+new ones to the closure, in O(1) mask operations plus those down-sets, and
+a son that adds nothing to either hands back its father's state.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
     """All k-element order ideals of p, each exactly once, as disjoint rows.
 
     Each stacked row carries (Z0, F), the down-set of its ones and the
-    filter of its zeros; the rows and counters are those of
-    `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`.
+    filter of its zeros; a son with no one outside Z0 and no new zero
+    outside F gets its father's (Z0, F).  The rows and counters are those
+    of `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`.
     """
     down, up, w = p.down_masks, p.up_masks, p.w
 
@@ -82,6 +83,8 @@ def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
         z0, filt = state or (0, 0)
         if ones & ~z0:
             z0 |= union_over(down, ones & ~z0)
+        elif state and (not e or filt >> (e - 1) & 1):
+            return state  # the filter is up-closed: up[e] adds nothing
         filt |= up[e]
         return (z0, filt) if _fits(z0, filt, w, k) else None
 

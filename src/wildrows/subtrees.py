@@ -9,8 +9,8 @@ and a Steiner closure takes O(|seed|) of them.  The feasibility test grows
 one component of the forbidden-vertex-free forest, up to k vertices, and
 returns it as the row's witness.  The k-subtree enumerator carries each
 stacked row's Steiner accumulators and witness: a son closes only its new
-ones, and a son whose closure stays inside its father's witness, with no new
-zero in it, is feasible by that witness without growing a component.
+ones, and one whose closure stays in its father's witness, with no new zero
+in it, is feasible by that witness (its father's state, if it adds no one).
 """
 
 from __future__ import annotations
@@ -216,9 +216,10 @@ def enumerate_k_subtrees(t: Tree, k: int) -> FinalStack:
     proved the row feasible.  A son pays root paths only for its ones
     outside its father's closure.  When its closure stays inside the
     father's witness and its one new zero (if any) misses it, that witness
-    proves the son feasible too, and only |z0| <= k is left to test;
-    otherwise the son grows its own witness.  The rows and counters are
-    those of `enumerate_k_models` with `subtree_oracle`.
+    proves the son feasible too, and only |z0| <= k is left to test (with
+    no new one, the father settled that too: the son gets its father's
+    state object); otherwise the son grows its own witness.  The rows and
+    counters are those of `enumerate_k_models` with `subtree_oracle`.
     """
     family = tree_base(t)
     up, tip = _path_table(t)
@@ -232,6 +233,8 @@ def enumerate_k_subtrees(t: Tree, k: int) -> FinalStack:
         union, common, z0, witness = state or (0, -1, 0, 0)
         if ones & ~z0:
             union, common, z0 = _steiner(up, tip, union, common, ones & ~z0)
+        elif state is not None and not (e and witness >> (e - 1) & 1):
+            return state  # its admission settled z0 and the witness
         # a son's zeros are its father's, which miss the witness, plus e
         if state is not None and not z0 & ~witness and not (e and witness >> (e - 1) & 1):
             return (union, common, z0, witness) if z0.bit_count() <= k else None
