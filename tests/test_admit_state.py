@@ -1,0 +1,117 @@
+"""The states the k-ideal and k-subtree admits return, at workload scale.
+
+Each test wraps the `admit` that an enumerator hands to `_lifo_k` and checks
+every call against the enumerator's oracle, computed from scratch: a
+returned state must equal the one derived from the whole son, a refusal
+must match the oracle, and the loop must call the admit once for the root
+and once per candidate son.  A son that adds nothing to its father's state
+gets the father's state object back; the tests also check that this
+happens, so the shortcut is exercised and held to the same checks.
+"""
+
+import pytest
+
+from wildrows import (
+    LayeredSpec,
+    Poset,
+    SplitMix64,
+    Tree,
+    enumerate_k_ideals,
+    enumerate_k_subtrees,
+    gen_layered_poset,
+    gen_random_tree,
+    ideal_oracle,
+    subtree_oracle,
+)
+from wildrows import ideals, subtrees
+from wildrows.core import union_over
+from wildrows.subtrees import steiner_closure_mask
+
+
+def wrap_admits(monkeypatch, module, check):
+    """Patch module._lifo_k so every admit call goes through
+    check(state, ones, twos, e, k, son); returns a counter of the calls and
+    of the calls that returned their father's state object."""
+    count = {"calls": 0, "same": 0}
+    lifo_k = module._lifo_k
+
+    def checking_lifo_k(family, k, admit):
+        def checked(state, ones, twos, e):
+            son = admit(state, ones, twos, e)
+            check(state, ones, twos, e, k, son)
+            count["calls"] += 1
+            count["same"] += son is not None and son is state
+            return son
+
+        return lifo_k(family, k, checked)
+
+    monkeypatch.setattr(module, "_lifo_k", checking_lifo_k)
+    return count
+
+
+def state_posets():
+    """The kideals shapes (w 50 and 60, four covers each) on seeds no
+    benchmark run draws, and the edge cases."""
+    rng = SplitMix64(20261020)
+    named = [(f"layered-{m}x10-{i}", gen_layered_poset(LayeredSpec(m, 10, 4, rng.next_u64())))
+             for m in (5, 6) for i in range(2)]
+    return named + [("w0", Poset(0, [])), ("w1", Poset(1, [])), ("chain-12", Poset.chain(12)),
+                    ("antichain-8", Poset.antichain(8))]
+
+
+STATE_POSETS = state_posets()
+
+
+@pytest.mark.parametrize("name, p", STATE_POSETS, ids=[name for name, _ in STATE_POSETS])
+def test_k_ideal_admit_states(name, p, monkeypatch):
+    down, up = p.down_masks, p.up_masks
+    full = (1 << p.w) - 1
+    oracle = ideal_oracle(p)
+
+    def check(state, ones, twos, e, k, son):
+        zeros = full & ~(ones | twos)
+        assert (son is None) == (not oracle(ones, zeros, k))
+        if son is not None:
+            assert son == (union_over(down, ones), union_over(up, zeros))
+
+    count = wrap_admits(monkeypatch, ideals, check)
+    for k in range(p.w + 1):
+        before = count["calls"]
+        stats = enumerate_k_ideals(p, k).stats
+        assert count["calls"] - before == stats.candidate_sons + 1
+    if name.startswith("layered"):
+        assert count["same"] > 0
+
+
+def state_trees():
+    """Seeded random trees of w 12-30 (seeds no benchmark run draws), a
+    12-path and a 10-star."""
+    rng = SplitMix64(20261021)
+    named = [(f"random-{i}", gen_random_tree(12 + rng.below(19), rng.next_u64())) for i in range(4)]
+    return named + [("path-12", Tree.path_graph(12)), ("star-10", Tree.star(10))]
+
+
+STATE_TREES = state_trees()
+
+
+@pytest.mark.parametrize("name, t", STATE_TREES, ids=[name for name, _ in STATE_TREES])
+def test_k_subtree_admit_states(name, t, monkeypatch):
+    full = (1 << t.w) - 1
+    close = steiner_closure_mask(t)
+    oracle = subtree_oracle(t)
+
+    def check(state, ones, twos, e, k, son):
+        zeros = full & ~(ones | twos)
+        assert (son is None) == (not oracle(ones, zeros, k))
+        if son is not None:
+            _, _, z0, witness = son
+            assert z0 == close(ones) and z0.bit_count() <= k
+            assert not z0 & ~witness and not witness & zeros
+            assert witness.bit_count() >= k
+
+    count = wrap_admits(monkeypatch, subtrees, check)
+    for k in range(t.w + 1):
+        before = count["calls"]
+        stats = enumerate_k_subtrees(t, k).stats
+        assert count["calls"] - before == stats.candidate_sons + 1
+    assert count["same"] > 0
