@@ -69,6 +69,8 @@ class SplitMix64:
     def sample(self, population, t: int) -> list:
         """t distinct items by partial Fisher-Yates over a copy."""
         pool = list(population)
+        if t < 0:
+            raise ValueError(f"sample size must be nonnegative, got {t}")
         if t > len(pool):
             raise ValueError("sample larger than population")
         for i in range(t):

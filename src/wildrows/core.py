@@ -401,8 +401,8 @@ class RowAB(WildRow):
     X belongs to the row iff ones ⊆ X, X avoids the zeros, and for every
     bundle: premise position in X implies all conclusion positions in X.
 
-    `next_bundle` is the lineage counter for fresh bundle ids (dissolved ids
-    are never reused); it does not take part in equality.
+    Bundle ids are >= 1; `next_bundle`, the counter for fresh ids (dissolved
+    ids are never reused), lies above them all and takes no part in equality.
     """
 
     __slots__ = ("w", "ones_mask", "twos_mask", "bundles", "next_bundle")
@@ -413,11 +413,11 @@ class RowAB(WildRow):
         self._set_masks(w, ones_mask, twos_mask)
         _setattr(self, "bundles", bundles)
         used = ones_mask | twos_mask
-        seen_ids = set()
+        top = 0  # the largest id so far: ids are sorted, and at least 1
         for bid, prem, conc in bundles:
-            if bid in seen_ids:
-                raise InputError(f"duplicate bundle id {bid}")
-            seen_ids.add(bid)
+            if bid <= top:
+                raise InputError(f"duplicate bundle id {bid}" if top else f"bundle id {bid} below 1")
+            top = bid
             if not conc:
                 raise InputError(f"bundle {bid} has an empty conclusion")
             if not 0 < prem <= w or conc >> w:
@@ -428,9 +428,9 @@ class RowAB(WildRow):
             if (pm | conc) & used:
                 raise InputError("bundle positions overlap other row parts")
             used |= pm | conc
-        if next_bundle <= 0:
-            next_bundle = max((b.bid for b in bundles), default=0) + 1
-        _setattr(self, "next_bundle", next_bundle)
+        if 0 < next_bundle <= top:
+            raise InputError(f"next_bundle {next_bundle} not above bundle id {top}")
+        _setattr(self, "next_bundle", next_bundle if next_bundle > 0 else top + 1)
 
     @property
     def bundle_mask(self) -> int:

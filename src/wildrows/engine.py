@@ -15,10 +15,10 @@ unchanged.  Each stacked row therefore carries a bitset of the pending
 implications whose premise still misses its zeros; a pop jumps over the
 blocked ones with `bit_length`, and a son that gains a zero drops the
 premises holding it in one AND.  Processing order, rows and counters are
-those of imposing every implication in turn.  A stacked row also carries
-the feasibility state its admission test returned, so the test of a son
-can update its father's state instead of starting over.  A split goes on
-with its first admitted son in place, and stacks only the others.
+those of imposing every implication in turn.  Each enumerator hands the
+loop an admission test and a root state; a stacked row carries the state
+its test returned, which the test of a son updates.  A split goes on with
+its first admitted son in place, and stacks only the others.
 """
 
 from __future__ import annotations
@@ -59,13 +59,14 @@ class EngineStats(Record):
     """Work counters of one run.
 
     impositions counts every constraint imposed on a row, carry-overs
-    included: the loop jumps over premise-blocked carry-overs and adds them
-    arithmetically rather than visiting each.  candidate_sons counts only
-    the rows produced by genuine splits (unchanged carry-overs are not
-    re-counted); killed_candidates the sons rejected by the feasibility
-    test; wasteful_deletions the stacked rows discarded with no surviving
-    member (always 0 in the deletion-free variant).  Unlike the other
-    records, the counters can be reassigned, and so are not hashable.
+    included: the loop jumps over premise-blocked carry-overs and charges
+    them when a chain of rows ends, rather than visiting each.
+    candidate_sons counts only the rows produced by genuine splits
+    (unchanged carry-overs are not re-counted); killed_candidates the sons
+    rejected by the feasibility test; wasteful_deletions the stacked rows
+    discarded with no surviving member (always 0 in the deletion-free
+    variant).  Unlike the other records, the counters can be reassigned,
+    and so are not hashable.
     """
 
     __slots__ = ("impositions", "candidate_sons", "killed_candidates", "wasteful_deletions",
@@ -167,29 +168,28 @@ def _premise_table(w: int, masks) -> list[int]:
 Admit = Callable[[object, int, int, int], object]
 
 
-def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
-    """The LIFO exclusion loop of both enumerators.  `admit`, when given,
-    vets the root row and each candidate son before it may be stacked; None
-    admits every row.
+def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
+    """The LIFO exclusion loop of both enumerators.
 
-    A stacked row is (ones, twos, pending, open, state): bit i-1 of open is
-    set while implication i is still pending (i >= pending) and its premise
-    misses the row's zeros.  A pop jumps over the premise-blocked
-    carry-overs with bit_length and tests only the conclusions of the open
-    implications, one by one.  A split makes its sons in processing order
-    (the rule of `candidate_sons`) and vets each as it is made.  It goes
-    on with the first admitted son in place and pushes the others in
-    reverse, to be processed in order after it, so pops = final rows +
-    deletions (final rows alone in the deletion-free variant).
+    A stacked row is (ones, twos, open, state): bit i-1 of open is set
+    while implication i is pending and its premise misses the row's zeros;
+    state is what admit returned for the row.  A pop jumps over the
+    premise-blocked carry-overs with bit_length and tests only the
+    conclusions of the open implications, one by one.  A split makes its
+    sons in processing order (the rule of `candidate_sons`) and vets each
+    as it is made.  It goes on with the first admitted son in place and
+    inserts each later one at its mark, below the earlier ones, so pops =
+    final rows + deletions.  A stacked son's chain imposes the indices
+    after its split, so impositions are charged when a chain ends: +h per
+    final row, +index per deletion and -index per stacked son.
 
-    state is the row's feasibility state, whatever admit returned for it.
     admit(state, ones, twos, e) vets the son (ones, twos) of a row with
     that state, e being the one zero the son gains (a staircase son) or 0
     (the forced son), and returns the son's state, or None to refuse it;
-    the root is vetted as admit(None, 0, full, 0).  So admit can update the
-    father's state for the son's new ones and its new zero rather than
-    derive it from the whole row, and may return the father's state object
-    itself for a son whose change it would not alter.
+    the root row is vetted as admit(root, 0, full, 0).  So admit can
+    update the father's state for the son's new ones and its new zero
+    rather than derive it from the whole row, and may return the father's
+    state object itself for a son whose change it would not alter.
     """
     w, h = family.w, family.h
     masks = family.masks
@@ -197,10 +197,10 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
     impositions = candidates = killed = deletions = 0
     final = []
     full = (1 << w) - 1
-    root = () if admit is None else admit(None, 0, full, 0)
-    stack = [] if root is None else [(0, full, 1, (1 << h) - 1, root)]
+    root = admit(root, 0, full, 0)
+    stack = [] if root is None else [(0, full, (1 << h) - 1, root)]
     while stack:
-        ones, twos, start, open_, state = stack.pop()
+        ones, twos, open_, state = stack.pop()
         while True:
             while open_:
                 low = open_ & -open_
@@ -210,13 +210,11 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
                 if conc & ~ones:
                     break
             else:
-                impositions += h - start + 1
+                impositions += h
                 final.append(Row012(w, ones, twos, h + 1))
                 break
-            impositions += pending - start + 1
             # staircase sons, then the forced son; the premise misses the
             # zeros, so the staircase leaves o = ones | prem and t = twos & ~prem
-            start = pending + 1
             mark, kept = len(stack), 0
             o, t = ones, twos
             free = prem & twos
@@ -226,11 +224,12 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
                 free ^= low
                 t ^= low
                 e = low.bit_length()
-                s = state if admit is None else admit(state, o, t, e)
+                s = admit(state, o, t, e)
                 if s is not None:
                     # the new zero e blocks every premise holding it
                     if kept:
-                        stack.append((o, t, start, open_ & out_prem[e], s))
+                        stack.insert(mark, (o, t, open_ & out_prem[e], s))
+                        impositions -= pending
                     else:
                         next_row = o, t, open_ & out_prem[e], s
                     kept += 1
@@ -238,10 +237,11 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
             if not conc & ~(ones | twos):
                 split += 1
                 o, t = o | conc, t & ~conc
-                s = state if admit is None else admit(state, o, t, 0)
+                s = admit(state, o, t, 0)
                 if s is not None:
                     if kept:
-                        stack.append((o, t, start, open_, s))
+                        stack.insert(mark, (o, t, open_, s))
+                        impositions -= pending
                     else:
                         next_row = o, t, open_, s
                     kept += 1
@@ -251,19 +251,18 @@ def _lifo(family: ImplicationFamily, admit: Admit | None = None) -> FinalStack:
                 # no member survives; unreachable under a consistent filter,
                 # since a feasible row keeps at least one son feasible
                 deletions += 1
+                impositions += pending
                 break
-            if kept > 2:  # so the second son is popped first
-                stack[mark:] = stack[mark:][::-1]
             ones, twos, open_, state = next_row
     stats = EngineStats(impositions, candidates, killed, deletions, len(final))
     return FinalStack(tuple(final), stats)
 
 
-def _lifo_k(family: ImplicationFamily, k: int, admit: Admit) -> FinalStack:
+def _lifo_k(family: ImplicationFamily, k: int, admit: Admit, root: object) -> FinalStack:
     """_lifo for the k-element models; refuses k outside 0..w."""
     if not 0 <= k <= family.w:
         raise ValueError(f"k must be within 0..{family.w}, got {k}")
-    return _lifo(family, admit)
+    return _lifo(family, admit, root)
 
 
 def enumerate_models(family: ImplicationFamily) -> FinalStack:
@@ -272,7 +271,7 @@ def enumerate_models(family: ImplicationFamily) -> FinalStack:
     Deterministic: the topmost working-stack row is always processed next,
     and sons are pushed so that the first-listed son is processed first.
     """
-    return _lifo(family)
+    return _lifo(family, lambda state, ones, twos, e: (), ())
 
 
 def enumerate_k_models(
@@ -321,7 +320,7 @@ def enumerate_k_models(
             return None
         return ()
 
-    return _lifo_k(family, k, admit)
+    return _lifo_k(family, k, admit, ())
 
 
 def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:

@@ -34,8 +34,7 @@ def natural_base(p: Poset) -> ImplicationFamily:
 def down_closure_mask(p: Poset):
     """Mask-level closure under natural_base(p): the generated down-set.
 
-    Agrees with the generic forward chaining on the natural base; used as the
-    engine's fast closure.
+    Agrees with the generic forward chaining on the natural base.
     """
     return partial(union_over, p.down_masks)
 
@@ -72,20 +71,20 @@ def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
     """All k-element order ideals of p, each exactly once, as disjoint rows.
 
     Each stacked row carries (Z0, F), the down-set of its ones and the
-    filter of its zeros; a son with no one outside Z0 and no new zero
-    outside F gets its father's (Z0, F).  The rows and counters are those
-    of `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`.
+    filter of its zeros, (0, 0) at the root; a son with no one outside Z0
+    and no new zero outside F gets its father's (Z0, F).  The rows and
+    counters are those of `enumerate_k_models` with `ideal_oracle` and
+    `down_closure_mask`.
     """
     down, up, w = p.down_masks, p.up_masks, p.w
 
     def admit(state, ones, twos, e):
-        # the root (state None) has no ones and no zeros; up[0] is 0
-        z0, filt = state or (0, 0)
+        z0, filt = state
         if ones & ~z0:
             z0 |= union_over(down, ones & ~z0)
-        elif state and (not e or filt >> (e - 1) & 1):
+        elif not e or filt >> (e - 1) & 1:
             return state  # the filter is up-closed: up[e] adds nothing
         filt |= up[e]
         return (z0, filt) if _fits(z0, filt, w, k) else None
 
-    return _lifo_k(natural_base(p), k, admit)
+    return _lifo_k(natural_base(p), k, admit, (0, 0))

@@ -213,7 +213,8 @@ def enumerate_k_subtrees(t: Tree, k: int) -> FinalStack:
     k=0 yields the empty set, k=1 all singletons (both count as subtrees).
     Each stacked row carries the Steiner accumulators of its ones, their
     closure z0 and a witness: the connected set, found by `_witness`, that
-    proved the row feasible.  A son pays root paths only for its ones
+    proved the row feasible (at the root, empty accumulators and the
+    witness grown from vertex 1).  A son pays root paths only for its ones
     outside its father's closure.  When its closure stays inside the
     father's witness and its one new zero (if any) misses it, that witness
     proves the son feasible too, and only |z0| <= k is left to test (with
@@ -227,18 +228,17 @@ def enumerate_k_subtrees(t: Tree, k: int) -> FinalStack:
     full = (1 << t.w) - 1
 
     def admit(state, ones, twos, e):
-        # the root (state None) has no ones; a vertex inside the closure
-        # already lies on the union and below the common path, so it leaves
-        # both accumulators unchanged
-        union, common, z0, witness = state or (0, -1, 0, 0)
+        # a vertex inside the closure already lies on the union and below
+        # the common path, so it leaves both accumulators unchanged
+        union, common, z0, witness = state
         if ones & ~z0:
             union, common, z0 = _steiner(up, tip, union, common, ones & ~z0)
-        elif state is not None and not (e and witness >> (e - 1) & 1):
+        elif not (e and witness >> (e - 1) & 1):
             return state  # its admission settled z0 and the witness
         # a son's zeros are its father's, which miss the witness, plus e
-        if state is not None and not z0 & ~witness and not (e and witness >> (e - 1) & 1):
+        if not z0 & ~witness and not (e and witness >> (e - 1) & 1):
             return (union, common, z0, witness) if z0.bit_count() <= k else None
         witness = _witness(z0, full & ~(ones | twos), full, nbr, k)
         return None if witness is None else (union, common, z0, witness)
 
-    return _lifo_k(family, k, admit)
+    return _lifo_k(family, k, admit, (0, -1, 0, _witness(0, 0, full, nbr, k)))

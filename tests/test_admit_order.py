@@ -33,14 +33,16 @@ def record_admits(monkeypatch, module):
     calls = [0]
     lifo_k = module._lifo_k
 
-    def recording_lifo_k(family, k, admit):
+    def recording_lifo_k(family, k, admit, root):
         def recorded(state, ones, twos, e):
+            # the root too is vetted as a son of a state, never of None
+            assert state is not None
             son = admit(state, ones, twos, e)
             digest.update(repr((ones, twos, e, son)).encode())
             calls[0] += 1
             return son
 
-        return lifo_k(family, k, recorded)
+        return lifo_k(family, k, recorded, root)
 
     monkeypatch.setattr(module, "_lifo_k", recording_lifo_k)
     return digest, calls

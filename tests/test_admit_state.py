@@ -31,19 +31,24 @@ from wildrows.subtrees import steiner_closure_mask
 def wrap_admits(monkeypatch, module, check):
     """Patch module._lifo_k so every admit call goes through
     check(state, ones, twos, e, k, son); returns a counter of the calls and
-    of the calls that returned their father's state object."""
+    of the candidate sons that got their father's state object."""
     count = {"calls": 0, "same": 0}
     lifo_k = module._lifo_k
 
-    def checking_lifo_k(family, k, admit):
+    def checking_lifo_k(family, k, admit, root):
         def checked(state, ones, twos, e):
+            # the root too is vetted as a son of a state, never of None
+            assert state is not None
             son = admit(state, ones, twos, e)
             check(state, ones, twos, e, k, son)
+            # the first call of a query vets the root, which may keep the
+            # root state object: count only the candidate sons
+            count["same"] += son is not None and son is state and count["calls"] > first
             count["calls"] += 1
-            count["same"] += son is not None and son is state
             return son
 
-        return lifo_k(family, k, checked)
+        first = count["calls"]
+        return lifo_k(family, k, checked, root)
 
     monkeypatch.setattr(module, "_lifo_k", checking_lifo_k)
     return count

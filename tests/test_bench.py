@@ -63,8 +63,12 @@ def test_splitmix64_sample_without_replacement():
         got = rng.sample(range(1, 11), 4)
         assert len(got) == len(set(got)) == 4
         assert all(1 <= v <= 10 for v in got)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         rng.sample([1, 2], 3)
+    assert str(e.value) == "sample larger than population"
+    with pytest.raises(ValueError) as e:
+        SplitMix64(1).sample(range(5), -2)
+    assert str(e.value) == "sample size must be nonnegative, got -2"
 
 
 # ---------------------------------------------------------------------------

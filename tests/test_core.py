@@ -166,6 +166,8 @@ def test_rowab_repr():
     ((3, 0, 0, (Bundle(5, 1, 0b011),)), "bundle 5 premise inside its conclusion"),
     ((3, 0b10, 0, (Bundle(6, 1, 0b010),)), "bundle positions overlap other row parts"),
     ((3, 0, 0, (Bundle(1, 0, 0b10),)), "bundle position outside universe"),
+    ((2, 0, 0, (Bundle(0, 1, 0b10),)), "bundle id 0 below 1"),
+    ((5, 0, 0b11000, (Bundle(1, 1, 0b110),), 1), "next_bundle 1 not above bundle id 1"),
 ])
 def test_rowab_validation_messages(args, message):
     with pytest.raises(InputError) as e:
