@@ -67,7 +67,7 @@ class SplitMix64:
                 return v % n
 
     def sample(self, population, t: int) -> list:
-        """t distinct items by partial Fisher-Yates over a copy."""
+        """t distinct items, 0 <= t <= len, by partial Fisher-Yates over a copy."""
         pool = list(population)
         if t < 0:
             raise ValueError(f"sample size must be nonnegative, got {t}")

@@ -178,8 +178,8 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
     conclusions of the open implications, one by one.  A split makes its
     sons in processing order (the rule of `candidate_sons`) and vets each
     as it is made.  It goes on with the first admitted son in place and
-    inserts each later one at its mark, below the earlier ones, so pops =
-    final rows + deletions.  A stacked son's chain imposes the indices
+    inserts each later one where the stack ended before the split, below
+    the earlier ones, so pops = final rows + deletions.  A stacked son's chain imposes the indices
     after its split, so impositions are charged when a chain ends: +h per
     final row, +index per deletion and -index per stacked son.
 
