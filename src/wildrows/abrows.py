@@ -5,11 +5,14 @@ Processing the elements in linear-extension order keeps the imposed position
 free (2) at imposition time and makes every produced row feasible, so the
 enumeration never discards a row: imposing one implication turns a row into
 one or two rows whose disjoint union is exactly the surviving member sets.
+`ab_enumerate` imposes an implication only on a row where its element is
+still free: a new zero takes its whole filter at once, so no implication is
+ever blocked by a zero there.
 """
 
 from __future__ import annotations
 
-from .core import Bundle, Poset, RankPolynomial, RowAB, _label, _within, binomial_row, poly_mul
+from .core import Bundle, Poset, RankPolynomial, RowAB, _label, _within, binomial_row, poly_mul, union_over
 
 
 def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
@@ -80,29 +83,42 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
 
     Starts from the all-free row and imposes each element's cover implication
     in linear-extension order under LIFO; no row is ever discarded.  Vacuous
-    implications of minimal elements are skipped.
+    implications of minimal elements are skipped, and so are those of every
+    element already zero: when a split's premise-out son takes a zero at j,
+    it takes j's whole filter as zeros at once, which is what imposing the
+    filter's implications in turn would give, each conclusion being blocked
+    by a zero below it.
     """
-    w = p.w
-    covers = p.lower_cover_masks
-    schedule = [(1 << (j - 1), covers[j]) for j in p.linext if covers[j]]
-    n = len(schedule)
-    stack = [((0, (1 << w) - 1, 0, (), 1), 0)]
+    w, linext = p.w, p.linext
+    covers, up = p.lower_cover_masks, p.up_masks
+    # bit k of a row's `todo` stands for p.linext[k], set while that
+    # element's implication is still to impose; later[e] holds the bits of
+    # e's filter
+    index = [0] * (w + 1)
+    for k, e in enumerate(linext):
+        index[e] = k
+    later = [0] * (w + 1)
+    for e in reversed(linext):
+        later[e] = union_over(later, p.upper_cover_masks[e]) | 1 << index[e]
+    todo = sum(1 << k for k, e in enumerate(linext) if covers[e])
+    stack = [((0, (1 << w) - 1, 0, (), 1), todo)]
     final = []
     while stack:
-        (ones, twos, zeros, bundles, nxt), i = stack.pop()
-        while i < n:
-            jbit, bmask = schedule[i]
-            i += 1
-            if bmask & zeros:
-                # conclusion blocked by a zero, most impositions, made inline:
-                # the premise position must be zero
-                twos &= ~jbit
-                zeros |= jbit
-                continue
-            sons = _impose((ones, twos, zeros, bundles, nxt), jbit, bmask)
+        (ones, twos, zeros, bundles, nxt), todo = stack.pop()
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            j = linext[low.bit_length() - 1]
+            sons = _impose((ones, twos, zeros, bundles, nxt), 1 << (j - 1), covers[j])
             ones, twos, zeros, bundles, nxt = sons[0]
             if len(sons) == 2:
-                stack.append((sons[1], i))
+                stack.append((sons[1], todo))
+                # premise out: j's whole filter is zero.  Every imposition
+                # so far touched only elements no later in the linear
+                # extension than its own, so that filter is still free.
+                twos &= ~up[j]
+                zeros |= up[j]
+                todo &= ~later[j]
         # built unchecked: _impose keeps the masks disjoint within 1..w and
         # the bundles in id order below nxt, all that RowAB(...) checks
         final.append(RowAB._trusted(w, ones, twos, bundles, nxt))
