@@ -94,12 +94,10 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
     # bit k of a row's `todo` stands for p.linext[k], set while that
     # element's implication is still to impose; later[e] holds the bits of
     # e's filter
-    index = [0] * (w + 1)
-    for k, e in enumerate(linext):
-        index[e] = k
     later = [0] * (w + 1)
-    for e in reversed(linext):
-        later[e] = union_over(later, p.upper_cover_masks[e]) | 1 << index[e]
+    for k in reversed(range(w)):
+        e = linext[k]
+        later[e] = union_over(later, p.upper_cover_masks[e]) | 1 << k
     todo = sum(1 << k for k, e in enumerate(linext) if covers[e])
     stack = [((0, (1 << w) - 1, 0, (), 1), todo)]
     final = []
