@@ -16,12 +16,10 @@ from .core import Bundle, Poset, RankPolynomial, RowAB, _label, _within, binomia
 
 
 def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
-    """ab_impose on a plain (ones, twos, zeros, bundles, next_bundle) row,
-    without validation; the position `jbit` must be free."""
-    ones, twos, zeros, bundles, next_bundle = row
-    if bmask & zeros:
-        # conclusion blocked by a zero: the premise position must be zero
-        return [(ones, twos & ~jbit, zeros | jbit, bundles, next_bundle)]
+    """ab_impose on a plain (ones, twos, bundles, next_bundle) row, RowAB's
+    own fields, without validation; the position `jbit` must be free and no
+    conclusion position `bmask` may be zero."""
+    ones, twos, bundles, next_bundle = row
     if not bmask & ~ones:
         # conclusion already forced: the row carries over
         return [row]
@@ -30,10 +28,10 @@ def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
         # constraint as a fresh bundle on the free ones
         conc = bmask & twos
         bundle = Bundle(next_bundle, jbit.bit_length(), conc)
-        return [(ones, twos & ~(jbit | conc), zeros, bundles + (bundle,), next_bundle + 1)]
+        return [(ones, twos & ~(jbit | conc), bundles + (bundle,), next_bundle + 1)]
     # conclusion touches existing bundle symbols: split on the premise.
     # Premise out:
-    row_out = (ones, twos & ~jbit, zeros | jbit, bundles, next_bundle)
+    row_out = (ones, twos & ~jbit, bundles, next_bundle)
     # Premise in: force the conclusion, rippling through the bundles it hits.
     ones |= jbit | (bmask & twos)
     twos &= ~(jbit | bmask)
@@ -55,7 +53,7 @@ def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
         else:
             # conclusion fully forced: the premise position relaxes to free
             twos |= pbit
-    return [row_out, (ones, twos, zeros, tuple(kept), next_bundle)]
+    return [row_out, (ones, twos, tuple(kept), next_bundle)]
 
 
 def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
@@ -65,7 +63,7 @@ def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     (else InputError, as for an implication family); the result is one or
     two rows whose disjoint union is exactly the members of `r` satisfying
     the implication.  When two rows are returned the premise-out row comes
-    first.
+    first.  A conclusion that meets a zero makes position j zero.
     """
     jbit = 1 << (_label(j, r.w) - 1)
     if not r.twos_mask & jbit:
@@ -73,9 +71,11 @@ def ab_impose(r: RowAB, j: int, b) -> list[RowAB]:
     bmask = _within(b, r.w)
     if bmask & jbit:
         raise ValueError("premise position inside its own conclusion")
-    row = (r.ones_mask, r.twos_mask, r.zeros_mask, r.bundles, r.next_bundle)
-    sons = _impose(row, jbit, bmask)
-    return [RowAB(r.w, ones, twos, bundles, nxt) for ones, twos, _, bundles, nxt in sons]
+    if bmask & r.zeros_mask:
+        sons = [(r.ones_mask, r.twos_mask & ~jbit, r.bundles, r.next_bundle)]
+    else:
+        sons = _impose((r.ones_mask, r.twos_mask, r.bundles, r.next_bundle), jbit, bmask)
+    return [RowAB(r.w, *son) for son in sons]
 
 
 def ab_enumerate(p: Poset) -> list[RowAB]:
@@ -87,7 +87,8 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
     element already zero: when a split's premise-out son takes a zero at j,
     it takes j's whole filter as zeros at once, which is what imposing the
     filter's implications in turn would give, each conclusion being blocked
-    by a zero below it.
+    by a zero below it.  So no conclusion ever meets a zero, and a row's
+    zeros stay implied by its other fields.
     """
     w, linext = p.w, p.linext
     covers, up = p.lower_cover_masks, p.up_masks
@@ -99,27 +100,27 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
         e = linext[k]
         later[e] = union_over(later, p.upper_cover_masks[e]) | 1 << k
     todo = sum(1 << k for k, e in enumerate(linext) if covers[e])
-    stack = [((0, (1 << w) - 1, 0, (), 1), todo)]
+    stack = [((0, (1 << w) - 1, (), 1), todo)]
     final = []
     while stack:
-        (ones, twos, zeros, bundles, nxt), todo = stack.pop()
+        row, todo = stack.pop()
         while todo:
             low = todo & -todo
             todo ^= low
             j = linext[low.bit_length() - 1]
-            sons = _impose((ones, twos, zeros, bundles, nxt), 1 << (j - 1), covers[j])
-            ones, twos, zeros, bundles, nxt = sons[0]
+            sons = _impose(row, 1 << (j - 1), covers[j])
+            row = sons[0]
             if len(sons) == 2:
                 stack.append((sons[1], todo))
                 # premise out: j's whole filter is zero.  Every imposition
                 # so far touched only elements no later in the linear
                 # extension than its own, so that filter is still free.
-                twos &= ~up[j]
-                zeros |= up[j]
+                ones, twos, bundles, nxt = row
+                row = (ones, twos & ~up[j], bundles, nxt)
                 todo &= ~later[j]
         # built unchecked: _impose keeps the masks disjoint within 1..w and
         # the bundles in id order below nxt, all that RowAB(...) checks
-        final.append(RowAB._trusted(w, ones, twos, bundles, nxt))
+        final.append(RowAB._trusted(w, *row))
     return final
 
 

@@ -796,15 +796,6 @@ def binomial_row(n: int) -> list[int]:
     return [math.comb(n, k) for k in range(n + 1)]
 
 
-def poly_add(a, b, shift: int = 0) -> list[int]:
-    """Coefficients of a + x^shift * b, for coefficient sequences a and b."""
-    out = list(a)
-    end = len(b) + shift
-    out += [0] * (end - len(out))
-    out[shift:end] = map(operator.add, out[shift:end], b)
-    return out
-
-
 def poly_mul(a, b) -> list[int]:
     """Coefficients of a * b, for coefficient sequences a and b."""
     if not a or not b:
@@ -881,7 +872,10 @@ class RankPolynomial(Record):
     def __add__(self, other: "RankPolynomial") -> "RankPolynomial":
         if not isinstance(other, RankPolynomial):
             return NotImplemented
-        return RankPolynomial._trusted(tuple(poly_add(self.coefficients, other.coefficients)))
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        return RankPolynomial._trusted((*map(operator.add, a, b), *a[len(b):]))
 
     def __mul__(self, other: "RankPolynomial") -> "RankPolynomial":
         if not isinstance(other, RankPolynomial):

@@ -6,8 +6,7 @@ new zero has already zeroed; its rows, in order, must be the replay's."""
 
 import pytest
 
-from wildrows import LayeredSpec, Poset, RowAB, SplitMix64, ab_enumerate, ab_impose, gen_layered_poset, parse_row
-from wildrows.abrows import _impose
+from wildrows import Bundle, LayeredSpec, Poset, RowAB, SplitMix64, ab_enumerate, ab_impose, gen_layered_poset, parse_row
 
 
 def replay(p):
@@ -54,5 +53,9 @@ def test_blocked_by_zero_still_serves_ab_impose():
     # 2 <- {1, 4}: the conclusion meets the zero at 1, so 2 becomes zero
     r = parse_row("0 2 2 1", kind="ab")
     assert ab_impose(r, 2, {1, 4}) == [parse_row("0 0 2 1", kind="ab")]
-    row = (r.ones_mask, r.twos_mask, r.zeros_mask, r.bundles, r.next_bundle)
-    assert _impose(row, 0b10, 0b1001) == [(0b1000, 0b100, 0b11, (), r.next_bundle)]
+    # on 0 2 2 a1 b1 b1 with fresh ids from 4 on, 2 <- {1, 3} meets the zero
+    # at 1: position 2 becomes zero, the bundles and next_bundle stay
+    r = RowAB(6, 0, 0b110, (Bundle(1, 4, 0b110000),), 4)
+    (son,) = ab_impose(r, 2, {1, 3})
+    assert shape([son]) == [(6, 0, 0b100, (Bundle(1, 4, 0b110000),), 4)]
+    assert son == parse_row("0 0 2 a1 b1 b1", kind="ab")

@@ -25,7 +25,7 @@ from wildrows import (
     tree_base,
 )
 from wildrows.closure import premise_index
-from wildrows.core import poly_add, poly_mul, to_mask
+from wildrows.core import poly_mul, to_mask
 from wildrows.engine import _premise_table
 
 
@@ -104,7 +104,8 @@ def test_sum_equals_the_checked_sum():
     for a, b in PAIRS:
         got = a + b
         assert type(got.coefficients) is tuple
-        assert got.coefficients == RankPolynomial(poly_add(a.coefficients, b.coefficients)).coefficients
+        n = max(len(a.coefficients), len(b.coefficients))
+        assert got.coefficients == RankPolynomial([a.coefficient(k) + b.coefficient(k) for k in range(n)]).coefficients
         assert not got.coefficients or got.coefficients[-1] != 0
 
 
