@@ -7,7 +7,11 @@ family.  `enumerate_k_models` is the deletion-free fixed-cardinality
 variant: every candidate son is tested against a feasibility oracle as the
 loop makes it, before it may enter the stack, so no stacked row is ever
 discarded and the number of final rows never exceeds the number of
-k-element models.
+k-element models.  The one exception is a forced single son: a split whose
+conclusion meets a zero and whose premise has one free position has one
+son, that position zeroed, with exactly its father's models, so the loop
+takes it untested.  Admit calls therefore number candidate_sons + 1 (the
+root) less the forced single sons.
 
 Most impositions on subtree bases are carry-overs: the row's zeros block the
 premise, or the conclusion is already forced, and the row goes on
@@ -189,7 +193,10 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
     the root row is vetted as admit(root, 0, full, 0).  So admit can
     update the father's state for the son's new ones and its new zero
     rather than derive it from the whole row, and may return the father's
-    state object itself for a son whose change it would not alter.
+    state object itself for a son whose change it would not alter.  A
+    forced single son, whose one new zero no model of its father holds
+    (the split's conclusion meets a zero), keeps its father's state
+    unvetted: admit must return that state for such a son.
     """
     w, h = family.w, family.h
     masks = family.masks
@@ -215,10 +222,18 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
                 break
             # staircase sons, then the forced son; the premise misses the
             # zeros, so the staircase leaves o = ones | prem and t = twos & ~prem
-            mark, kept = len(stack), 0
-            o, t = ones, twos
             free = prem & twos
             split = free.bit_count()
+            blocked = conc & ~(ones | twos)
+            if blocked and split == 1:
+                # the only son zeroes the one free premise position, which no
+                # model of the row holds: it keeps the row's models and state
+                twos ^= free
+                open_ &= out_prem[free.bit_length()]
+                candidates += 1
+                continue
+            kept = 0
+            o, t = ones, twos
             while free:
                 low = free & -free
                 free ^= low
@@ -228,18 +243,22 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
                 if s is not None:
                     # the new zero e blocks every premise holding it
                     if kept:
+                        if kept == 1:
+                            mark = len(stack)
                         stack.insert(mark, (o, t, open_ & out_prem[e], s))
                         impositions -= pending
                     else:
                         next_row = o, t, open_ & out_prem[e], s
                     kept += 1
                 o |= low
-            if not conc & ~(ones | twos):
+            if not blocked:
                 split += 1
                 o, t = o | conc, t & ~conc
                 s = admit(state, o, t, 0)
                 if s is not None:
                     if kept:
+                        if kept == 1:
+                            mark = len(stack)
                         stack.insert(mark, (o, t, open_, s))
                         impositions -= pending
                     else:
@@ -283,7 +302,8 @@ def enumerate_k_models(
 ) -> FinalStack:
     """Deletion-free enumeration of the k-element models.
 
-    Every candidate son is admitted only after a feasibility test: close the
+    Every candidate son but a forced single son (see `_lifo`), which has
+    its father's models, is admitted only after a feasibility test: close the
     son's ones-part, reject when the closure outgrows k or collides with the
     son's zeros, otherwise ask the oracle for a k-element model extending the
     closure and avoiding the zeros.  Each final row therefore contains at

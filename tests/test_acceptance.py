@@ -37,6 +37,7 @@ from wildrows import (
     run_bench,
     whitney,
 )
+from wildrows.core import to_mask
 
 TOY = ImplicationFamily(7, [
     Implication({5}, {6, 7}),
@@ -78,12 +79,17 @@ def rows_pairwise_disjoint(stack):
 
 
 def members_unique(stack, cap=20000):
-    """Materialized double-check where affordable."""
+    """Materialized double-check where affordable: every member that
+    `FinalStack.sets()` lists, counted and collected as its int mask, since
+    cyclic garbage collection walks every frozenset a collection holds."""
     total = sum(1 << r.twos_mask.bit_count() for r in stack.rows)
     if total > cap:
         return True
-    members = list(stack.sets())
-    return len(members) == len(set(members))
+    listed, masks = 0, set()
+    for member in stack.sets():
+        listed += 1
+        masks.add(to_mask(member))
+    return listed == len(masks)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ Each test wraps the `admit` that an enumerator hands to `_lifo_k` and checks
 every call against the enumerator's oracle, computed from scratch: a
 returned state must equal the one derived from the whole son, a refusal
 must match the oracle, and the loop must call the admit once for the root
-and once per candidate son.  A son that adds nothing to its father's state
-gets the father's state object back; the tests also check that this
-happens, so the shortcut is exercised and held to the same checks.
+and once per candidate son, less the forced single sons it takes unvetted
+(counted by a replay through the public `candidate_sons`).  A k-subtree son
+that adds nothing to its father's state gets the father's state object
+back; that test also checks that this happens, so the shortcut is
+exercised and held to the same checks.  A k-ideal son whose new zero lies
+in its father's filter is a forced single son, so it never reaches the
+admit; that test checks this.
 """
 
 import pytest
@@ -14,17 +18,21 @@ import pytest
 from wildrows import (
     LayeredSpec,
     Poset,
+    Row012,
     SplitMix64,
     Tree,
+    candidate_sons,
     enumerate_k_ideals,
     enumerate_k_subtrees,
     gen_layered_poset,
     gen_random_tree,
     ideal_oracle,
+    natural_base,
     subtree_oracle,
 )
 from wildrows import ideals, subtrees
 from wildrows.core import union_over
+from wildrows.ideals import down_closure_mask
 from wildrows.subtrees import steiner_closure_mask
 
 
@@ -54,6 +62,32 @@ def wrap_admits(monkeypatch, module, check):
     return count
 
 
+def forced_single_sons(family, k, oracle, close_mask):
+    """Splits with one son whose conclusion meets a zero, counted by
+    imposing every implication in turn through `candidate_sons` on the rows
+    that pass the feasibility test of `enumerate_k_models`."""
+
+    def feasible(r):
+        z0 = close_mask(r.ones_mask)
+        return z0.bit_count() <= k and not z0 & r.zeros_mask and oracle(z0, r.zeros_mask, k)
+
+    forced = 0
+    stack = [Row012.full(family.w)] if feasible(Row012.full(family.w)) else []
+    while stack:
+        r = stack.pop()
+        if r.pending > family.h:
+            continue
+        imp = family[r.pending - 1]
+        sons = candidate_sons(r, imp)
+        if len(sons) == 1 and (sons[0].ones_mask, sons[0].twos_mask) == (r.ones_mask, r.twos_mask):
+            stack.append(sons[0])  # carry-over
+            continue
+        if len(sons) == 1 and imp.conclusion & r.zeros:
+            forced += 1
+        stack.extend(s for s in sons if feasible(s))
+    return forced
+
+
 def state_posets():
     """The kideals shapes (w 50 and 60, four covers each) on seeds no
     benchmark run draws, and the edge cases."""
@@ -73,7 +107,11 @@ def test_k_ideal_admit_states(name, p, monkeypatch):
     full = (1 << p.w) - 1
     oracle = ideal_oracle(p)
 
+    family, close = natural_base(p), down_closure_mask(p)
+
     def check(state, ones, twos, e, k, son):
+        # a new zero inside the father's filter makes a forced single son
+        assert not (e and state[1] >> (e - 1) & 1)
         zeros = full & ~(ones | twos)
         assert (son is None) == (not oracle(ones, zeros, k))
         if son is not None:
@@ -83,9 +121,8 @@ def test_k_ideal_admit_states(name, p, monkeypatch):
     for k in range(p.w + 1):
         before = count["calls"]
         stats = enumerate_k_ideals(p, k).stats
-        assert count["calls"] - before == stats.candidate_sons + 1
-    if name.startswith("layered"):
-        assert count["same"] > 0
+        forced = forced_single_sons(family, k, oracle, close)
+        assert count["calls"] - before == stats.candidate_sons + 1 - forced
 
 
 def state_trees():
