@@ -6,13 +6,13 @@ because that complement shells down to the down-closure of the ones one
 element at a time, every cardinality in between is realized.  The k-ideal
 enumerator carries both masks on each stacked row: a staircase son adds the
 up-set of its new zero to the filter, the forced son the down-sets of its
-new ones to the closure, in O(1) mask operations plus those down-sets, and
-a forced son with no new one hands back its father's state.  A staircase
-son whose new zero lies in the filter never reaches the admit: along the
-linear extension one of that element's lower covers is already a zero, so
-the split has that son alone, which the engine takes with its father's
-state.  Admit calls number candidate_sons + 1 less those forced single
-sons, which are about three in four candidate sons on layered posets.
+new ones to the closure, in O(1) mask operations plus those down-sets.  A
+staircase son whose new zero lies in the filter never reaches the admit:
+along the linear extension one of that element's lower covers is already a
+zero, so the split has that son alone, which the engine takes with its
+father's state.  Admit calls number candidate_sons + 1 less those forced
+single sons, which are about three in four candidate sons on layered
+posets.
 """
 
 from __future__ import annotations
@@ -76,9 +76,10 @@ def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
     """All k-element order ideals of p, each exactly once, as disjoint rows.
 
     Each stacked row carries (Z0, F), the down-set of its ones and the
-    filter of its zeros, (0, 0) at the root; a forced son with no one
-    outside Z0 gets its father's (Z0, F).  The rows and counters are those
-    of `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`.
+    filter of its zeros, (0, 0) at the root, which its admit hands back (a
+    forced son always adds its premise, which lies outside Z0).  The rows
+    and counters are those of `enumerate_k_models` with `ideal_oracle` and
+    `down_closure_mask`.
     """
     down, up, w = p.down_masks, p.up_masks, p.w
 
@@ -87,7 +88,7 @@ def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
         if ones & ~z0:
             z0 |= union_over(down, ones & ~z0)
         elif not e:
-            return state
+            return state  # the root: no one and no zero
         filt |= up[e]
         return (z0, filt) if _fits(z0, filt, w, k) else None
 

@@ -106,7 +106,6 @@ def test_k_ideal_admit_states(name, p, monkeypatch):
     down, up = p.down_masks, p.up_masks
     full = (1 << p.w) - 1
     oracle = ideal_oracle(p)
-
     family, close = natural_base(p), down_closure_mask(p)
 
     def check(state, ones, twos, e, k, son):
