@@ -26,8 +26,14 @@ operating-system error.  A reader that closes stdout early ends the
 stderr.
 
 Every subcommand reads its file through `_read` and does its work or raises;
-`main` alone prints "error: ..." and picks the exit code.  Only gen and
-bench import `bench`, so the query subcommands do not load it.
+`main` alone prints "error: ..." and picks the exit code.
+
+At load this module imports only `core` from the package.  Each subcommand
+imports the modules it runs, at its top or in the branch that runs them,
+so a cold call compiles only those: models and subtrees load `engine` (and
+its `closure`), ideals `ideals` and `engine`, or `abrows` alone with
+--compact, whitney `abrows` or `rankpoly` by --method (both for "both"), and
+only gen and bench load `bench`.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ import signal
 import sys
 from pathlib import Path
 
-from .abrows import ab_enumerate, rows_poly
 from .core import (
     GuardError,
     Implication,
@@ -50,10 +55,6 @@ from .core import (
     rowab_count,
     rowab_members,
 )
-from .engine import BRUTE_ORACLE_MAX_W, brute_oracle, enumerate_k_models, enumerate_models
-from .ideals import enumerate_k_ideals, natural_base
-from .rankpoly import rank_poly_recursive
-from .subtrees import enumerate_k_subtrees
 
 
 MAX_UNIVERSE = 4096
@@ -195,6 +196,8 @@ def _emit(fmt: str, rows, count, sets) -> None:
 # subcommands: each does its work or raises, and main maps the exception
 
 def _cmd_models(args) -> None:
+    from .engine import BRUTE_ORACLE_MAX_W, brute_oracle, enumerate_k_models, enumerate_models
+
     family = parse_family_file(_read(args.file))
     if args.k is None:
         stack = enumerate_models(family)
@@ -214,10 +217,15 @@ def _cmd_ideals(args) -> None:
     if args.compact:
         if args.k is not None:
             raise ValueError("--compact and --k cannot be combined")
+        from .abrows import ab_enumerate
+
         rows = ab_enumerate(poset)
         _emit(args.format, rows, lambda: sum(map(rowab_count, rows)),
               (s for r in rows for s in rowab_members(r)))
         return
+    from .engine import enumerate_models
+    from .ideals import enumerate_k_ideals, natural_base
+
     if args.k is None:
         stack = enumerate_models(natural_base(poset))
     else:
@@ -226,6 +234,8 @@ def _cmd_ideals(args) -> None:
 
 
 def _cmd_subtrees(args) -> None:
+    from .subtrees import enumerate_k_subtrees
+
     tree = parse_tree_file(_read(args.file))
     stack = enumerate_k_subtrees(tree, args.k)
     _emit(args.format, stack.rows, lambda: stack.count(args.k), stack.sets(args.k))
@@ -234,12 +244,18 @@ def _cmd_subtrees(args) -> None:
 def _cmd_whitney(args) -> None:
     poset = parse_poset_file(_read(args.file))
     if args.method == "recursive":
+        from .rankpoly import rank_poly_recursive
+
         poly, _ = rank_poly_recursive(poset)
     else:
+        from .abrows import ab_enumerate, rows_poly
+
         rows = ab_enumerate(poset)
         poly = rows_poly(rows)
     print(" ".join(map(str, poly.padded(poset.w))))
     if args.method == "both":
+        from .rankpoly import rank_poly_recursive
+
         poly_rec, nsum = rank_poly_recursive(poset)
         print("agree" if poly == poly_rec else "disagree")
         print(f"R={len(rows)} nsum={nsum}")

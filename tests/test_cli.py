@@ -346,16 +346,26 @@ def test_import_loads_neither_numpy_nor_process_pools():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-BENCH_NAMES = ("BenchReport BenchRow LayeredSpec SplitMix64 brute_ideals brute_models "
-               "brute_rank_poly brute_subtrees gen_layered_poset gen_random_tree run_bench "
-               "subtree_count").split()
-PUBLIC_NAMES = BENCH_NAMES + (
-    "Bundle Closer EngineStats FeasibilityOracle FinalStack GuardError Implication "
-    "ImplicationFamily InputError Poset RankPolynomial Row012 RowAB Tree ab_enumerate ab_impose "
-    "brute_oracle candidate_sons cardinality_poly close enumerate_k_ideals enumerate_k_models "
-    "enumerate_k_subtrees enumerate_models ideal_oracle is_model natural_base parse_row "
-    "pick_pivot rank_poly_recursive render_row row012_count row012_list_k row012_members "
-    "rows_poly rowab_count rowab_members steiner_closure subtree_oracle tree_base whitney").split()
+# every public name of the package, by the module that defines it
+PUBLIC_HOMES = {
+    "abrows": "ab_enumerate ab_impose cardinality_poly rows_poly whitney",
+    "bench": "BenchReport BenchRow LayeredSpec SplitMix64 brute_ideals brute_models "
+             "brute_rank_poly brute_subtrees gen_layered_poset gen_random_tree run_bench "
+             "subtree_count",
+    "closure": "Closer close is_model",
+    "core": "Bundle GuardError Implication ImplicationFamily InputError Poset RankPolynomial "
+            "Row012 RowAB Tree parse_row render_row row012_count row012_list_k row012_members "
+            "rowab_count rowab_members",
+    "engine": "EngineStats FeasibilityOracle FinalStack brute_oracle candidate_sons "
+              "enumerate_k_models enumerate_models",
+    "ideals": "enumerate_k_ideals ideal_oracle natural_base",
+    "rankpoly": "pick_pivot rank_poly_recursive",
+    "subtrees": "enumerate_k_subtrees steiner_closure subtree_oracle tree_base",
+}
+PUBLIC_NAMES = [n for names in PUBLIC_HOMES.values() for n in names.split()]
+# the lazily loaded submodules, each after every module it imports, so that
+# none is loaded before the attribute that names it is first read
+LAZY_SUBMODULES = ("abrows", "closure", "engine", "ideals", "rankpoly", "subtrees", "bench")
 
 
 def test_import_loads_neither_dataclasses_nor_bench():
@@ -367,19 +377,59 @@ def test_import_loads_neither_dataclasses_nor_bench():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-def test_bench_names_resolve_from_a_cold_package():
+PRINT_LOADED = "print(sorted(m for m in sys.modules if m.startswith('wildrows')))"
+
+
+def test_bare_import_loads_only_core():
+    done = run_cold("-c", f"import sys, wildrows; {PRINT_LOADED}")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['wildrows', 'wildrows.core']\n", "")
+
+
+ENGINE = ("closure", "engine")
+SUBCOMMAND_MODULES = [
+    (["ideals", "chain3.poset", "--k", "2"], ENGINE + ("ideals",)),
+    (["ideals", "chain3.poset"], ENGINE + ("ideals",)),
+    (["ideals", "chain3.poset", "--compact"], ("abrows",)),
+    (["subtrees", "path3.tree", "--k", "2"], ENGINE + ("subtrees",)),
+    (["whitney", "v.poset", "--method", "ab"], ("abrows",)),
+    (["whitney", "v.poset", "--method", "recursive"], ("rankpoly",)),
+    (["whitney", "v.poset", "--method", "both"], ("abrows", "rankpoly")),
+    (["models", "toy.imp"], ENGINE),
+    (["models", "toy.imp", "--k", "3"], ENGINE),
+]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _ in SUBCOMMAND_MODULES])
+def test_each_subcommand_loads_only_its_modules(files, argv, modules):
+    # a cold call compiles every module it imports, so each subcommand
+    # imports only what it runs: core, cli and its own modules
+    argv = [files.get(a, a) for a in argv]
+    script = ("import contextlib, io, sys\nfrom wildrows.cli import main\n"
+              f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+              f"print(code)\n{PRINT_LOADED}")
+    done = run_cold("-c", script)
+    want = sorted(["wildrows"] + [f"wildrows.{m}" for m in ("cli", "core", *modules)])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"0\n{want}\n"
+
+
+def test_public_names_resolve_from_a_cold_package():
     script = f"""
 import sys, wildrows
-names = {BENCH_NAMES!r}
-assert 'wildrows.bench' not in sys.modules
-from wildrows import LayeredSpec
-import wildrows.bench as bench
-assert LayeredSpec is bench.LayeredSpec
-assert all(getattr(wildrows, n) is getattr(bench, n) for n in names)
+from importlib import import_module
+assert sorted(m for m in sys.modules if m.startswith('wildrows')) == ['wildrows', 'wildrows.core']
+assert set({PUBLIC_NAMES!r} + {list(LAZY_SUBMODULES)!r} + ['core']) <= set(dir(wildrows))
+for m in {LAZY_SUBMODULES!r}:
+    assert 'wildrows.' + m not in sys.modules, m
+    assert getattr(wildrows, m) is sys.modules['wildrows.' + m], m
+for home, names in {PUBLIC_HOMES!r}.items():
+    for n in names.split():
+        assert getattr(wildrows, n) is getattr(import_module('wildrows.' + home), n), n
 star = {{}}
 exec('from wildrows import *', star)
-assert all(star[n] is getattr(bench, n) for n in names)
 assert set(star) - {{'__builtins__'}} == set(wildrows.__all__)
+assert all(star[n] is getattr(wildrows, n) for n in wildrows.__all__)
 try:
     wildrows.no_such_name
 except AttributeError as e:

@@ -1,7 +1,4 @@
-"""Every module of the package uses every name it imports.
-
-`__init__.py` is exempt: its imports are the public re-exports.
-"""
+"""Every module of the package uses every name it imports."""
 
 import ast
 from pathlib import Path
@@ -9,7 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wildrows"
-MODULES = sorted(f.name for f in PACKAGE.glob("*.py") if f.name != "__init__.py")
+MODULES = sorted(f.name for f in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
