@@ -12,7 +12,17 @@ ever blocked by a zero there.
 
 from __future__ import annotations
 
-from .core import Bundle, Poset, RankPolynomial, RowAB, _label, _within, binomial_row, poly_mul, union_over
+from .core import (
+    Bundle,
+    Poset,
+    RankPolynomial,
+    RowAB,
+    _label,
+    _linext_up_bits,
+    _within,
+    binomial_row,
+    poly_mul,
+)
 
 
 def _impose(row: tuple, jbit: int, bmask: int) -> list[tuple]:
@@ -95,10 +105,7 @@ def ab_enumerate(p: Poset) -> list[RowAB]:
     # bit k of a row's `todo` stands for p.linext[k], set while that
     # element's implication is still to impose; later[e] holds the bits of
     # e's filter
-    later = [0] * (w + 1)
-    for k in reversed(range(w)):
-        e = linext[k]
-        later[e] = union_over(later, p.upper_cover_masks[e]) | 1 << k
+    later = _linext_up_bits(p)
     todo = sum(1 << k for k, e in enumerate(linext) if covers[e])
     stack = [((0, (1 << w) - 1, (), 1), todo)]
     final = []

@@ -659,6 +659,19 @@ class Poset:
         return f"Poset(w={self.w}, covers={sorted(rels)})"
 
 
+def _linext_up_bits(p: Poset) -> list[int]:
+    """bits[e]: the filter of e with bit k standing for p.linext[k] (index 0
+    unused); p.up_masks itself when p.linext is 1..w.  One pass along the
+    reversed linear extension, where e's upper covers come before e."""
+    if p.linext == tuple(p.elements):
+        return p.up_masks
+    bits = [0] * (p.w + 1)
+    for k in reversed(range(p.w)):
+        e = p.linext[k]
+        bits[e] = union_over(bits, p.upper_cover_masks[e]) | 1 << k
+    return bits
+
+
 def _closure_and_covers(order: Iterable[int], rel: list[int]) -> tuple[list[int], list[int]]:
     """closed[v] is v plus everything reachable from v along the masks `rel`,
     covers[v] the elements of rel[v] reachable from no other element of

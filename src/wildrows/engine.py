@@ -11,7 +11,10 @@ k-element models.  The one exception is a forced single son: a split whose
 conclusion meets a zero and whose premise has one free position has one
 son, that position zeroed, with exactly its father's models, so the loop
 takes it untested.  Admit calls therefore number candidate_sons + 1 (the
-root) less the forced single sons.
+root) less the forced single sons.  On a poset's natural base the k-ideal
+enumerator hands the loop its filters, and a new zero then takes its whole
+filter at once, so the loop makes no forced single son there at all;
+candidate_sons still counts the ones it would have made.
 
 Most impositions on subtree bases are carry-overs: the row's zeros block the
 premise, or the conclusion is already forced, and the row goes on
@@ -172,7 +175,8 @@ def _premise_table(w: int, masks) -> list[int]:
 Admit = Callable[[object, int, int, int], object]
 
 
-def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
+def _lifo(family: ImplicationFamily, admit: Admit, root: object, *,
+          _filters: tuple[list[int], list[int]] | None = None) -> FinalStack:
     """The LIFO exclusion loop of both enumerators.
 
     A stacked row is (ones, twos, open, state): bit i-1 of open is set
@@ -197,10 +201,26 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
     forced single son, whose one new zero no model of its father holds
     (the split's conclusion meets a zero), keeps its father's state
     unvetted: admit must return that state for such a son.
+
+    _filters, for a natural base alone, is (up, up_bits): up[e] is the
+    filter of element e as a twos mask, up_bits[e] the same filter as
+    implication-index bits.  A staircase son that zeroes e then zeroes the
+    rest of e's filter too and drops those elements' implications from its
+    open set; along the linear extension each of them would otherwise come
+    up free with a zero lower cover, a forced single son.  Rows, row order
+    and the other counters are unchanged, and candidate_sons still counts
+    those sons: a staircase son adds the implications it drops beyond e's
+    own, and a stacked forced son the pending implications whose element
+    is already zero.  A staircase son is always its split's first, so it is
+    never stacked.
     """
     w, h = family.w, family.h
     masks = family.masks
-    out_prem = [~bits for bits in _premise_table(w, masks)]
+    # a son that zeroes e drops the open implications of dropped[e]: those
+    # whose premise holds e or, with _filters, those of e's whole filter
+    eager = _filters is not None
+    up, dropped = _filters if eager else (None, _premise_table(w, masks))
+    out_prem = [~bits for bits in dropped]
     impositions = candidates = killed = deletions = 0
     final = []
     full = (1 << w) - 1
@@ -218,7 +238,7 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
                     break
             else:
                 impositions += h
-                final.append(Row012(w, ones, twos, h + 1))
+                final.append(Row012._trusted(w, ones, twos, h + 1))
                 break
             # staircase sons, then the forced son; the premise misses the
             # zeros, so the staircase leaves o = ones | prem and t = twos & ~prem
@@ -239,16 +259,20 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
                 free ^= low
                 t ^= low
                 e = low.bit_length()
-                s = admit(state, o, t, e)
+                son_twos = t & ~up[e] if eager else t
+                s = admit(state, o, son_twos, e)
                 if s is not None:
-                    # the new zero e blocks every premise holding it
+                    # the new zeros block every premise holding one of them
+                    son_open = open_ & out_prem[e]
                     if kept:
                         if kept == 1:
                             mark = len(stack)
-                        stack.insert(mark, (o, t, open_ & out_prem[e], s))
+                        stack.insert(mark, (o, son_twos, son_open, s))
                         impositions -= pending
                     else:
-                        next_row = o, t, open_ & out_prem[e], s
+                        next_row = o, son_twos, son_open, s
+                        if eager:
+                            candidates += open_.bit_count() - son_open.bit_count()
                     kept += 1
                 o |= low
             if not blocked:
@@ -261,6 +285,8 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
                             mark = len(stack)
                         stack.insert(mark, (o, t, open_, s))
                         impositions -= pending
+                        if eager:
+                            candidates += h - pending - open_.bit_count()
                     else:
                         next_row = o, t, open_, s
                     kept += 1
@@ -277,11 +303,12 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object) -> FinalStack:
     return FinalStack(tuple(final), stats)
 
 
-def _lifo_k(family: ImplicationFamily, k: int, admit: Admit, root: object) -> FinalStack:
+def _lifo_k(family: ImplicationFamily, k: int, admit: Admit, root: object, *,
+            _filters: tuple[list[int], list[int]] | None = None) -> FinalStack:
     """_lifo for the k-element models; refuses k outside 0..w."""
     if not 0 <= k <= family.w:
         raise ValueError(f"k must be within 0..{family.w}, got {k}")
-    return _lifo(family, admit, root)
+    return _lifo(family, admit, root, _filters=_filters)
 
 
 def enumerate_models(family: ImplicationFamily) -> FinalStack:

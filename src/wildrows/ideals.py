@@ -6,20 +6,20 @@ because that complement shells down to the down-closure of the ones one
 element at a time, every cardinality in between is realized.  The k-ideal
 enumerator carries both masks on each stacked row: a staircase son adds the
 up-set of its new zero to the filter, the forced son the down-sets of its
-new ones to the closure, in O(1) mask operations plus those down-sets.  A
-staircase son whose new zero lies in the filter never reaches the admit:
-along the linear extension one of that element's lower covers is already a
-zero, so the split has that son alone, which the engine takes with its
-father's state.  Admit calls number candidate_sons + 1 less those forced
-single sons, which are about three in four candidate sons on layered
-posets.
+new ones to the closure, in O(1) mask operations plus those down-sets.  The
+engine gets the filters too: a staircase son zeroes its new zero's whole
+filter at once, so a row's zeros are always an up-set.  Zeroed one at a
+time, each element of that filter would come up later, free with a zero
+lower cover, as a forced single son (about three in four candidate sons on
+layered posets).  The loop takes none of them but counts them among
+candidate_sons, so admit calls number candidate_sons + 1 less those sons.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .core import ImplicationFamily, Poset, _loose_mask, union_over
+from .core import ImplicationFamily, Poset, _linext_up_bits, _loose_mask, union_over
 from .engine import FeasibilityOracle, FinalStack, _lifo_k
 
 
@@ -77,9 +77,11 @@ def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
 
     Each stacked row carries (Z0, F), the down-set of its ones and the
     filter of its zeros, (0, 0) at the root, which its admit hands back (a
-    forced son always adds its premise, which lies outside Z0).  The rows
-    and counters are those of `enumerate_k_models` with `ideal_oracle` and
-    `down_closure_mask`.
+    forced son always adds its premise, which lies outside Z0).  The engine
+    gets p's filters, as twos masks and as implication-index bits (the
+    latter p.up_masks itself when p.linext is 1..w), and zeroes a new
+    zero's whole filter at once.  The rows and counters are those of
+    `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`.
     """
     down, up, w = p.down_masks, p.up_masks, p.w
 
@@ -92,4 +94,4 @@ def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
         filt |= up[e]
         return (z0, filt) if _fits(z0, filt, w, k) else None
 
-    return _lifo_k(natural_base(p), k, admit, (0, 0))
+    return _lifo_k(natural_base(p), k, admit, (0, 0), _filters=(up, _linext_up_bits(p)))

@@ -6,7 +6,7 @@ below wraps the `admit` that an enumerator hands to `_lifo_k` and pins the
 sha256 of the full call sequence: for every call, the son's ones and twos,
 its new zero e, and the state the admit returned (None for a refused son).
 A forced single son, which the loop takes with its father's state, makes no
-call.
+call.  A k-ideal son's twos lack the whole filter of its zeros.
 """
 
 import hashlib
@@ -35,7 +35,7 @@ def record_admits(monkeypatch, module):
     calls = [0]
     lifo_k = module._lifo_k
 
-    def recording_lifo_k(family, k, admit, root):
+    def recording_lifo_k(family, k, admit, root, *, _filters=None):
         def recorded(state, ones, twos, e):
             # the root too is vetted as a son of a state, never of None
             assert state is not None
@@ -44,7 +44,7 @@ def record_admits(monkeypatch, module):
             calls[0] += 1
             return son
 
-        return lifo_k(family, k, recorded, root)
+        return lifo_k(family, k, recorded, root, _filters=_filters)
 
     monkeypatch.setattr(module, "_lifo_k", recording_lifo_k)
     return digest, calls
@@ -80,7 +80,7 @@ def test_k_ideal_admit_order(monkeypatch):
         for k in range(p.w + 1):
             enumerate_k_ideals(p, k)
     assert calls[0] == 1365
-    assert digest.hexdigest() == "adc655709677830075419f3b68f5e5368b45da1cb51f7e3521be40f09d6fcee6"
+    assert digest.hexdigest() == "cecf8e4f8bced99f58b2d178a14a800a15762b94a5aec46d6e5e3e2658f0e78a"
 
 
 def test_k_subtree_admit_order(monkeypatch):

@@ -4,13 +4,14 @@ Each test wraps the `admit` that an enumerator hands to `_lifo_k` and checks
 every call against the enumerator's oracle, computed from scratch: a
 returned state must equal the one derived from the whole son, a refusal
 must match the oracle, and the loop must call the admit once for the root
-and once per candidate son, less the forced single sons it takes unvetted
-(counted by a replay through the public `candidate_sons`).  A k-subtree son
-that adds nothing to its father's state gets the father's state object
-back; that test also checks that this happens, so the shortcut is
-exercised and held to the same checks.  A k-ideal son whose new zero lies
-in its father's filter is a forced single son, so it never reaches the
-admit; that test checks this.
+and once per candidate son, less the forced single sons, which it never
+vets (counted by a replay through the public `candidate_sons`).  A
+k-subtree son that adds nothing to its father's state gets the father's
+state object back; that test also checks that this happens, so the
+shortcut is exercised and held to the same checks.  A k-ideal son zeroes
+its new zero's whole filter at once, so the loop never reaches the forced
+single sons that would zero it one element at a time; that test checks
+that the zeros of every vetted son are an up-set.
 """
 
 import pytest
@@ -43,7 +44,7 @@ def wrap_admits(monkeypatch, module, check):
     count = {"calls": 0, "same": 0}
     lifo_k = module._lifo_k
 
-    def checking_lifo_k(family, k, admit, root):
+    def checking_lifo_k(family, k, admit, root, *, _filters=None):
         def checked(state, ones, twos, e):
             # the root too is vetted as a son of a state, never of None
             assert state is not None
@@ -56,7 +57,7 @@ def wrap_admits(monkeypatch, module, check):
             return son
 
         first = count["calls"]
-        return lifo_k(family, k, checked, root)
+        return lifo_k(family, k, checked, root, _filters=_filters)
 
     monkeypatch.setattr(module, "_lifo_k", checking_lifo_k)
     return count
@@ -109,9 +110,11 @@ def test_k_ideal_admit_states(name, p, monkeypatch):
     family, close = natural_base(p), down_closure_mask(p)
 
     def check(state, ones, twos, e, k, son):
-        # a new zero inside the father's filter makes a forced single son
+        # a new zero inside the father's filter would make a forced single son
         assert not (e and state[1] >> (e - 1) & 1)
         zeros = full & ~(ones | twos)
+        # a son zeroes its new zero's whole filter at once
+        assert union_over(up, zeros) == zeros
         assert (son is None) == (not oracle(ones, zeros, k))
         if son is not None:
             assert son == (union_over(down, ones), union_over(up, zeros))

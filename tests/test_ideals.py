@@ -2,16 +2,20 @@ import itertools
 
 import pytest
 from conftest import random_poset
+from test_packed_recursion import shuffled
 
 from wildrows import (
     Implication,
+    LayeredSpec,
     Poset,
     SplitMix64,
     brute_ideals,
     brute_oracle,
     close,
     enumerate_k_ideals,
+    enumerate_k_models,
     enumerate_models,
+    gen_layered_poset,
     ideal_oracle,
     natural_base,
     rank_poly_recursive,
@@ -205,8 +209,6 @@ def test_enumerate_k_ideals_random_matches_brute():
 def test_specialized_closure_changes_nothing():
     # enumerate_k_ideals wires the O(w) down-set closure into the engine;
     # the default forward-chaining closure must give the identical stack
-    from wildrows import enumerate_k_models
-
     rng = SplitMix64(211)
     for _ in range(6):
         p = random_poset(rng, 1 + rng.below(9))
@@ -218,11 +220,38 @@ def test_specialized_closure_changes_nothing():
             assert [r.entries for r in fast.rows] == [r.entries for r in plain.rows]
 
 
+def eager_lazy_posets():
+    """Two kideals shapes (w = 50, four covers each) on seeds no benchmark
+    run draws: one as generated, whose linear extension is 1..w, and one
+    relabelled, whose linear extension is not."""
+    rng = SplitMix64(20261022)
+    p = gen_layered_poset(LayeredSpec(5, 10, 4, rng.next_u64()))
+    q = shuffled(gen_layered_poset(LayeredSpec(5, 10, 4, rng.next_u64())), rng)
+    return [("layered-5x10", p), ("relabelled-5x10", q)]
+
+
+EAGER_LAZY_POSETS = eager_lazy_posets()
+
+
+@pytest.mark.parametrize("name, p", EAGER_LAZY_POSETS, ids=[name for name, _ in EAGER_LAZY_POSETS])
+def test_filter_at_once_matches_the_lazy_loop(name, p):
+    # enumerate_k_ideals zeroes a new zero's whole filter in one step; the
+    # generic enumerate_k_models meets that filter one forced single son at
+    # a time.  Rows, pending and all five counters must agree.
+    assert (p.linext == tuple(p.elements)) == name.startswith("layered")
+    family, oracle = natural_base(p), ideal_oracle(p)
+    for k in range(p.w + 1):
+        eager = enumerate_k_ideals(p, k)
+        lazy = enumerate_k_models(family, k, oracle)
+        assert [(r.ones_mask, r.twos_mask, r.pending) for r in eager.rows] == [
+            (r.ones_mask, r.twos_mask, r.pending) for r in lazy.rows
+        ]
+        assert eager.stats == lazy.stats
+
+
 def test_structural_disjointness_beyond_sweep_range():
     # past the membership-check range, disjointness is certified
     # structurally: some position is 0 in one row and 1 in the other
-    from wildrows import LayeredSpec, gen_layered_poset
-
     p = gen_layered_poset(LayeredSpec(4, 6, 2, seed=321))  # w = 24
     grouped = brute_ideals(p)
     for k in (0, 6, 12, 18, 24):

@@ -407,7 +407,7 @@ def test_every_admitted_state_holds_a_valid_witness(name, t, monkeypatch):
     lifo_k, witness_of = subtrees._lifo_k, subtrees._witness
     count = {"admits": 0, "admitted": 0, "witness_calls": 0}
 
-    def checking_lifo_k(family, k, admit, root):
+    def checking_lifo_k(family, k, admit, root, *, _filters=None):
         def checked(state, ones, twos, e):
             son = admit(state, ones, twos, e)
             count["admits"] += 1
@@ -421,7 +421,7 @@ def test_every_admitted_state_holds_a_valid_witness(name, t, monkeypatch):
                 count["admitted"] += 1
             return son
 
-        return lifo_k(family, k, checked, root)
+        return lifo_k(family, k, checked, root, _filters=_filters)
 
     def counting_witness(*args):
         count["witness_calls"] += 1
