@@ -22,7 +22,7 @@ _NAMES_BY_HOME = {
         subtree_count""",
     "closure": "Closer close is_model",
     "core": """Bundle GuardError Implication ImplicationFamily InputError Poset
-        RankPolynomial Row012 RowAB Tree parse_row render_row row012_count row012_list_k
+        RankPolynomial Row012 RowAB Tree parse_row render_row row012_count
         row012_members rowab_count rowab_members""",
     "engine": """EngineStats FeasibilityOracle FinalStack brute_oracle candidate_sons
         enumerate_k_models enumerate_models""",

@@ -26,7 +26,9 @@ operating-system error.  A reader that closes stdout early ends the
 stderr.
 
 Every subcommand reads its file through `_read` and does its work or raises;
-`main` alone prints "error: ..." and picks the exit code.
+`main` alone prints "error: ..." and picks the exit code.  ideals runs one
+path, `enumerate_k_ideals(poset, k)`, with k=None when --k is not given;
+only --compact runs another, `ab_enumerate`'s {0,1,2,a,b} rows.
 
 At load this module imports only `core` from the package.  Each subcommand
 imports the modules it runs, at its top or in the branch that runs them,
@@ -223,13 +225,9 @@ def _cmd_ideals(args) -> None:
         _emit(args.format, rows, lambda: sum(map(rowab_count, rows)),
               (s for r in rows for s in rowab_members(r)))
         return
-    from .engine import enumerate_models
-    from .ideals import enumerate_k_ideals, natural_base
+    from .ideals import enumerate_k_ideals
 
-    if args.k is None:
-        stack = enumerate_models(natural_base(poset))
-    else:
-        stack = enumerate_k_ideals(poset, args.k)
+    stack = enumerate_k_ideals(poset, args.k)
     _emit(args.format, stack.rows, lambda: stack.count(args.k), stack.sets(args.k))
 
 

@@ -369,11 +369,6 @@ def row012_k_members(r: Row012, k: int) -> Iterator[frozenset[int]]:
             yield base | frozenset(extra)
 
 
-def row012_list_k(r: Row012, k: int) -> list[frozenset[int]]:
-    """All k-element members of the row, in ascending combination order."""
-    return list(row012_k_members(r, k))
-
-
 def row012_members(r: Row012) -> Iterator[frozenset[int]]:
     """All members, ascending by cardinality, combination order within."""
     low = r.ones_mask.bit_count()

@@ -11,10 +11,11 @@ k-element models.  The one exception is a forced single son: a split whose
 conclusion meets a zero and whose premise has one free position has one
 son, that position zeroed, with exactly its father's models, so the loop
 takes it untested.  Admit calls therefore number candidate_sons + 1 (the
-root) less the forced single sons.  On a poset's natural base the k-ideal
-enumerator hands the loop its filters, and a new zero then takes its whole
-filter at once, so the loop makes no forced single son there at all;
-candidate_sons still counts the ones it would have made.
+root) less the forced single sons.  On a poset's natural base the ideal
+enumerator, for one k or (k=None) for all ideals, hands the loop its
+filters, and a new zero then takes its whole filter at once, so the loop
+makes no forced single son there at all; candidate_sons still counts the
+ones it would have made.
 
 Most impositions on subtree bases are carry-overs: the row's zeros block the
 premise, or the conclusion is already forced, and the row goes on

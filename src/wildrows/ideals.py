@@ -3,16 +3,16 @@
 Feasibility of a row (ones, zeros) for cardinality k: every ideal avoiding
 the zeros sits inside the complement of the filter they generate, and
 because that complement shells down to the down-closure of the ones one
-element at a time, every cardinality in between is realized.  The k-ideal
-enumerator carries both masks on each stacked row: a staircase son adds the
-up-set of its new zero to the filter, the forced son the down-sets of its
-new ones to the closure, in O(1) mask operations plus those down-sets.  The
-engine gets the filters too: a staircase son zeroes its new zero's whole
-filter at once, so a row's zeros are always an up-set.  Zeroed one at a
-time, each element of that filter would come up later, free with a zero
+element at a time, every cardinality in between is realized.  The engine
+gets the filters: a staircase son zeroes its new zero's whole filter at
+once, so a row's zeros are always an up-set, the filter itself.  The
+k-ideal enumerator therefore carries only the closure on each stacked row,
+to which the forced son adds the down-sets of its new ones.  Zeroed one at
+a time, each element of a filter would come up later, free with a zero
 lower cover, as a forced single son (about three in four candidate sons on
 layered posets).  The loop takes none of them but counts them among
 candidate_sons, so admit calls number candidate_sons + 1 less those sons.
+The same enumerator with k=None lists every ideal, the CLI's one path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 
 from .core import ImplicationFamily, Poset, _linext_up_bits, _loose_mask, union_over
-from .engine import FeasibilityOracle, FinalStack, _lifo_k
+from .engine import FeasibilityOracle, FinalStack, _lifo, _lifo_k
 
 
 def natural_base(p: Poset) -> ImplicationFamily:
@@ -72,26 +72,28 @@ def ideal_oracle(p: Poset) -> FeasibilityOracle:
     return oracle
 
 
-def enumerate_k_ideals(p: Poset, k: int) -> FinalStack:
-    """All k-element order ideals of p, each exactly once, as disjoint rows.
+def enumerate_k_ideals(p: Poset, k: int | None) -> FinalStack:
+    """All k-element order ideals of p, each exactly once, as disjoint rows;
+    k=None lists every ideal.
 
-    Each stacked row carries (Z0, F), the down-set of its ones and the
-    filter of its zeros, (0, 0) at the root, which its admit hands back (a
-    forced son always adds its premise, which lies outside Z0).  The engine
-    gets p's filters, as twos masks and as implication-index bits (the
-    latter p.up_masks itself when p.linext is 1..w), and zeroes a new
-    zero's whole filter at once.  The rows and counters are those of
-    `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`.
+    Each stacked row carries Z0, the down-set of its ones (0 at the root),
+    which its admit hands back.  The engine gets p's filters, as twos masks
+    and as implication-index bits (the latter p.up_masks itself when
+    p.linext is 1..w), and zeroes a new zero's whole filter at once, so a
+    son's zeros are the filter F that `_fits` tests against.  The rows and
+    counters are those of `enumerate_k_models` with `ideal_oracle` and
+    `down_closure_mask`, and for k=None those of
+    `enumerate_models(natural_base(p))`.
     """
-    down, up, w = p.down_masks, p.up_masks, p.w
+    down, w = p.down_masks, p.w
+    full = (1 << w) - 1
 
-    def admit(state, ones, twos, e):
-        z0, filt = state
+    def admit(z0, ones, twos, e):
         if ones & ~z0:
             z0 |= union_over(down, ones & ~z0)
-        elif not e:
-            return state  # the root: no one and no zero
-        filt |= up[e]
-        return (z0, filt) if _fits(z0, filt, w, k) else None
+        return z0 if _fits(z0, full & ~(ones | twos), w, k) else None
 
-    return _lifo_k(natural_base(p), k, admit, (0, 0), _filters=(up, _linext_up_bits(p)))
+    family, filters = natural_base(p), (p.up_masks, _linext_up_bits(p))
+    if k is None:
+        return _lifo(family, admit, 0, _filters=filters)
+    return _lifo_k(family, k, admit, 0, _filters=filters)

@@ -110,14 +110,15 @@ def test_k_ideal_admit_states(name, p, monkeypatch):
     family, close = natural_base(p), down_closure_mask(p)
 
     def check(state, ones, twos, e, k, son):
-        # a new zero inside the father's filter would make a forced single son
-        assert not (e and state[1] >> (e - 1) & 1)
         zeros = full & ~(ones | twos)
         # a son zeroes its new zero's whole filter at once
         assert union_over(up, zeros) == zeros
+        # so its new zero is minimal among its zeros, which holds iff it lay
+        # outside the father's zeros: inside, it would make a forced single son
+        assert not e or down[e] & zeros == 1 << (e - 1)
         assert (son is None) == (not oracle(ones, zeros, k))
         if son is not None:
-            assert son == (union_over(down, ones), union_over(up, zeros))
+            assert son == union_over(down, ones)
 
     count = wrap_admits(monkeypatch, ideals, check)
     for k in range(p.w + 1):

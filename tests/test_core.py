@@ -27,14 +27,13 @@ from wildrows import (
     parse_row,
     render_row,
     row012_count,
-    row012_list_k,
     row012_members,
     rowab_count,
     rowab_members,
     steiner_closure,
     subtree_oracle,
 )
-from wildrows.core import Bundle, _within, from_mask, union_over
+from wildrows.core import Bundle, _within, from_mask, row012_k_members, union_over
 from wildrows.engine import EngineStats, FinalStack
 
 ROW5_TEXT = "0 0 1 1 2 2 2 a1 b1 b1 a2 b2 b2 b2 a3 b3"
@@ -58,16 +57,16 @@ def test_row012_count_final_stack_rows():
 
 def test_row012_list_k_simple():
     r = parse_row("1 0 2 2")
-    assert sets_of(row012_list_k(r, 2)) == [(1, 3), (1, 4)]
+    assert sets_of(row012_k_members(r, 2)) == [(1, 3), (1, 4)]
 
 
 def test_row012_list_k_from_toy_bottom_row():
     # frozen via exhaustive sweep of the toy family's models
-    assert sets_of(row012_list_k(parse_row("0 2 0 2 0 0 2"), 3)) == [(2, 4, 7)]
+    assert sets_of(row012_k_members(parse_row("0 2 0 2 0 0 2"), 3)) == [(2, 4, 7)]
 
 
 def test_row012_list_k_below_forced_size():
-    assert row012_list_k(parse_row("1 1 0 2 0 0 2"), 1) == []
+    assert list(row012_k_members(parse_row("1 1 0 2 0 0 2"), 1)) == []
 
 
 def test_row012_counting_identity_random():
@@ -77,7 +76,7 @@ def test_row012_counting_identity_random():
         r = random_row012(rng, w)
         total = 0
         for k in range(w + 1):
-            members = row012_list_k(r, k)
+            members = list(row012_k_members(r, k))
             need = k - len(r.ones)
             expect = math.comb(len(r.twos), need) if 0 <= need <= len(r.twos) else 0
             assert len(members) == expect
@@ -85,7 +84,7 @@ def test_row012_counting_identity_random():
             total += len(members)
         assert total == row012_count(r)
         assert sets_of(row012_members(r)) == sets_of(
-            m for k in range(w + 1) for m in row012_list_k(r, k)
+            m for k in range(w + 1) for m in row012_k_members(r, k)
         )
 
 
@@ -247,7 +246,7 @@ def test_member_order_matches_reference():
     for r in rows012:
         assert list(row012_members(r)) == list(_reference_row012_members(r))
         for k in range(-1, r.w + 2):
-            assert row012_list_k(r, k) == _reference_row012_list_k(r, k)
+            assert list(row012_k_members(r, k)) == _reference_row012_list_k(r, k)
     stack = FinalStack(tuple(rows012), EngineStats())
     assert list(stack.sets()) == [s for r in rows012 for s in _reference_row012_members(r)]
     for k in range(-1, 12):

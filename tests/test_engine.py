@@ -18,8 +18,8 @@ from wildrows import (
     enumerate_k_models,
     enumerate_models,
     parse_row,
-    row012_list_k,
 )
+from wildrows.core import row012_k_members
 
 TOY = ImplicationFamily(7, [
     Implication({5}, {6, 7}),
@@ -211,7 +211,7 @@ def test_k_models_deletion_free_and_output_bounded():
             assert stack.stats.wasteful_deletions == 0
             assert stack.stats.final_row_count <= len(expect)
             # extra feasibility: every surviving row holds a k-element model
-            assert all(row012_list_k(r, k) for r in stack.rows)
+            assert all(list(row012_k_members(r, k)) for r in stack.rows)
 
 
 def test_k_models_infeasible_root_gives_empty_stack():

@@ -9,11 +9,13 @@ from wildrows import (
     LayeredSpec,
     Poset,
     SplitMix64,
+    Tree,
     brute_ideals,
     brute_oracle,
     close,
     enumerate_k_ideals,
     enumerate_k_models,
+    enumerate_k_subtrees,
     enumerate_models,
     gen_layered_poset,
     ideal_oracle,
@@ -247,6 +249,51 @@ def test_filter_at_once_matches_the_lazy_loop(name, p):
             (r.ones_mask, r.twos_mask, r.pending) for r in lazy.rows
         ]
         assert eager.stats == lazy.stats
+
+
+def all_ideal_posets():
+    """Seeded layered grids, among them the kideals shape (w = 50, four
+    covers each), each also relabelled so its linear extension is not 1..w,
+    and the edge cases."""
+    rng = SplitMix64(20261023)
+    grids = [gen_layered_poset(LayeredSpec(m, l, t, rng.next_u64()))
+             for m, l, t in ((2, 3, 1), (3, 4, 2), (4, 6, 2), (5, 10, 4), (6, 4, 3))]
+    named = [(f"layered-{p.w}-{i}", p) for i, p in enumerate(grids)]
+    named += [(f"relabelled-{p.w}-{i}", shuffled(p, rng)) for i, p in enumerate(grids)]
+    return named + [("w0", Poset(0, [])), ("w1", Poset(1, [])), ("chain-12", Poset.chain(12)),
+                    ("antichain-8", Poset.antichain(8))]
+
+
+ALL_IDEAL_POSETS = all_ideal_posets()
+
+
+@pytest.mark.parametrize("name, p", ALL_IDEAL_POSETS, ids=[name for name, _ in ALL_IDEAL_POSETS])
+def test_all_ideals_match_the_lazy_loop(name, p):
+    # k=None lists every ideal with the filters taken at once; the generic
+    # enumerate_models keeps every son and meets each filter one forced
+    # single son at a time.  Rows, row order, pending and all five counters
+    # must agree.
+    if name.startswith("relabelled") and p.w > 1:
+        assert p.linext != tuple(p.elements)
+    eager = enumerate_k_ideals(p, None)
+    lazy = enumerate_models(natural_base(p))
+    assert [(r.ones_mask, r.twos_mask, r.pending) for r in eager.rows] == [
+        (r.ones_mask, r.twos_mask, r.pending) for r in lazy.rows
+    ]
+    assert eager.stats == lazy.stats
+    if p.w <= 12:
+        assert eager.model_count() == len(ideals_by_sweep(p))
+
+
+def test_only_ideals_take_k_none():
+    # k=None lists every ideal of a poset; the k-subtree and k-model
+    # enumerators have no such listing and refuse it
+    t = Tree.path_graph(3)
+    family = natural_base(Poset.chain(3))
+    with pytest.raises(TypeError):
+        enumerate_k_subtrees(t, None)
+    with pytest.raises(TypeError):
+        enumerate_k_models(family, None, brute_oracle(family))
 
 
 def test_structural_disjointness_beyond_sweep_range():
