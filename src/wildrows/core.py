@@ -579,16 +579,21 @@ class Poset:
         self.w = w
         pred = [0] * (w + 1)
         succ = [0] * (w + 1)
-        rising = True
+        below = [[] for _ in range(w + 1)]
+        above = [[] for _ in range(w + 1)]
+        bit = {e: 1 << (e - 1) for e in range(1, w + 1)}  # the range check and the mask bit
         for u, v in relations:
-            if not (1 <= u <= w and 1 <= v <= w):
-                raise InputError(f"relation ({u},{v}) outside universe 1..{w}")
+            try:
+                bu, bv = bit[u], bit[v]
+            except KeyError:
+                raise InputError(f"relation ({u},{v}) outside universe 1..{w}") from None
             if u != v:
-                pred[v] |= 1 << (u - 1)
-                succ[u] |= 1 << (v - 1)
-                if u > v:
-                    rising = False
-        if rising:  # then 1..w is the least linear extension and no cycle is possible
+                pred[v] |= bu
+                succ[u] |= bv
+                below[v].append(u)
+                above[u].append(v)
+        if all(pred[v] < bit[v] for v in range(1, w + 1)):
+            # every pair rises: 1..w is the least linear extension and no cycle is possible
             order = range(1, w + 1)
         else:
             # Kahn's sort with a min-heap: an element becomes available once
@@ -609,8 +614,8 @@ class Poset:
                 u, v = _first_cycle_pair(succ, pred, ((1 << w) - 1) & ~to_mask(order))
                 raise InputError(f"not antisymmetric: {u} and {v} are in a cycle")
         self.linext = tuple(order)
-        self.down_masks, self.lower_cover_masks = _closure_and_covers(order, pred)
-        self.up_masks, self.upper_cover_masks = _closure_and_covers(reversed(order), succ)
+        self.down_masks, self.lower_cover_masks = _closure_and_covers(order, pred, below)
+        self.up_masks, self.upper_cover_masks = _closure_and_covers(reversed(order), succ, above)
 
     @property
     def elements(self) -> range:
@@ -667,15 +672,19 @@ def _linext_up_bits(p: Poset) -> list[int]:
     return bits
 
 
-def _closure_and_covers(order: Iterable[int], rel: list[int]) -> tuple[list[int], list[int]]:
+def _closure_and_covers(order: Iterable[int], rel: list[int],
+                        adj: list[list[int]]) -> tuple[list[int], list[int]]:
     """closed[v] is v plus everything reachable from v along the masks `rel`,
     covers[v] the elements of rel[v] reachable from no other element of
-    rel[v] (index 0 unused).  `order` lists each v after all of rel[v]."""
+    rel[v] (index 0 unused).  adj[v] lists the labels of rel[v], repeats
+    allowed; `order` lists each v after all of rel[v]."""
     strict = [0] * len(rel)
     closed = [0] * len(rel)
     covers = [0] * len(rel)
     for v in order:
-        covered = union_over(strict, rel[v])
+        covered = 0
+        for u in adj[v]:
+            covered |= strict[u]
         strict[v] = covered | rel[v]
         closed[v] = strict[v] | 1 << (v - 1)
         covers[v] = rel[v] & ~covered

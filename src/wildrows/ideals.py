@@ -5,13 +5,15 @@ the zeros sits inside the complement of the filter they generate, and
 because that complement shells down to the down-closure of the ones one
 element at a time, every cardinality in between is realized.  The engine
 gets the filters: a staircase son zeroes its new zero's whole filter at
-once, so a row's zeros are always an up-set, the filter itself.  The
-k-ideal enumerator therefore carries only the closure on each stacked row,
-to which the forced son adds the down-sets of its new ones.  Zeroed one at
-a time, each element of a filter would come up later, free with a zero
-lower cover, as a forced single son (about three in four candidate sons on
-layered posets).  The loop takes none of them but counts them among
-candidate_sons, so admit calls number candidate_sons + 1 less those sons.
+once, so a row's zeros are always an up-set, the filter itself.  Its ones
+are always a down-set, since a forced son adds an element and its lower
+covers, whose own covers are ones already.  So the k-ideal enumerator
+carries no state and vets a son by its size window alone,
+|ones| <= k <= |ones| + |twos|.  Zeroed one at a time, each element of a
+filter would come up later, free with a zero lower cover, as a forced
+single son (about three in four candidate sons on layered posets).  The
+loop takes none of them but counts them among candidate_sons, so admit
+calls number candidate_sons + 1 less those sons.
 The same enumerator with k=None lists every ideal, the CLI's one path.
 """
 
@@ -76,24 +78,19 @@ def enumerate_k_ideals(p: Poset, k: int | None) -> FinalStack:
     """All k-element order ideals of p, each exactly once, as disjoint rows;
     k=None lists every ideal.
 
-    Each stacked row carries Z0, the down-set of its ones (0 at the root),
-    which its admit hands back.  The engine gets p's filters, as twos masks
-    and as implication-index bits (the latter p.up_masks itself when
-    p.linext is 1..w), and zeroes a new zero's whole filter at once, so a
-    son's zeros are the filter F that `_fits` tests against.  The rows and
-    counters are those of `enumerate_k_models` with `ideal_oracle` and
-    `down_closure_mask`, and for k=None those of
-    `enumerate_models(natural_base(p))`.
+    The engine gets p's filters, as twos masks and as implication-index
+    bits (the latter p.up_masks itself when p.linext is 1..w), and zeroes a
+    new zero's whole filter at once, so a son's zeros are an up-set and its
+    ones a down-set: `_fits` reduces to the size window
+    |ones| <= k <= |ones| + |twos|, which the stateless admit tests (stacked
+    state (); k=None keeps every son).  The rows and counters are those of
+    `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`, and
+    for k=None those of `enumerate_models(natural_base(p))`.
     """
-    down, w = p.down_masks, p.w
-    full = (1 << w) - 1
-
-    def admit(z0, ones, twos, e):
-        if ones & ~z0:
-            z0 |= union_over(down, ones & ~z0)
-        return z0 if _fits(z0, full & ~(ones | twos), w, k) else None
+    def admit(state, ones, twos, e):
+        return () if ones.bit_count() <= k <= (ones | twos).bit_count() else None
 
     family, filters = natural_base(p), (p.up_masks, _linext_up_bits(p))
     if k is None:
-        return _lifo(family, admit, 0, _filters=filters)
-    return _lifo_k(family, k, admit, 0, _filters=filters)
+        return _lifo(family, lambda state, ones, twos, e: (), (), _filters=filters)
+    return _lifo_k(family, k, admit, (), _filters=filters)

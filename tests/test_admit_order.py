@@ -7,7 +7,7 @@ sha256 of the full call sequence: for every call, the son's ones and twos,
 its new zero e, and the state the admit returned (None for a refused son).
 A forced single son, which the loop takes with its father's state, makes no
 call.  A k-ideal son's twos lack the whole filter of its zeros, and its
-state is the down-set of its ones alone.
+state is the empty tuple: the admit reads the son's size window alone.
 """
 
 import hashlib
@@ -81,7 +81,7 @@ def test_k_ideal_admit_order(monkeypatch):
         for k in range(p.w + 1):
             enumerate_k_ideals(p, k)
     assert calls[0] == 1365
-    assert digest.hexdigest() == "a1b655c6c90a0716be400c6674a9c4f93521c7aa77f71fa8dfe5d082401fb6bd"
+    assert digest.hexdigest() == "2bc332189451ff4d8c8f6df8f215092a7b9e8bc63ddd704d48287a6f3b8faeea"
 
 
 def test_k_subtree_admit_order(monkeypatch):

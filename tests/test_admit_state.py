@@ -2,8 +2,8 @@
 
 Each test wraps the `admit` that an enumerator hands to `_lifo_k` and checks
 every call against the enumerator's oracle, computed from scratch: a
-returned state must equal the one derived from the whole son, a refusal
-must match the oracle, and the loop must call the admit once for the root
+returned k-subtree state must equal the one derived from the whole son, a
+refusal must match the oracle, and the loop must call the admit once for the root
 and once per candidate son, less the forced single sons, which it never
 vets (counted by a replay through the public `candidate_sons`).  A
 k-subtree son that adds nothing to its father's state gets the father's
@@ -11,7 +11,8 @@ state object back; that test also checks that this happens, so the
 shortcut is exercised and held to the same checks.  A k-ideal son zeroes
 its new zero's whole filter at once, so the loop never reaches the forced
 single sons that would zero it one element at a time; that test checks
-that the zeros of every vetted son are an up-set.
+that the zeros of every vetted son are an up-set and the ones of every
+admitted son a down-set, on which the k-ideal admit's size window rests.
 """
 
 import pytest
@@ -24,7 +25,9 @@ from wildrows import (
     Tree,
     candidate_sons,
     enumerate_k_ideals,
+    enumerate_k_models,
     enumerate_k_subtrees,
+    enumerate_models,
     gen_layered_poset,
     gen_random_tree,
     ideal_oracle,
@@ -32,7 +35,7 @@ from wildrows import (
     subtree_oracle,
 )
 from wildrows import ideals, subtrees
-from wildrows.core import union_over
+from wildrows.core import _linext_up_bits, union_over
 from wildrows.ideals import down_closure_mask
 from wildrows.subtrees import steiner_closure_mask
 
@@ -118,7 +121,8 @@ def test_k_ideal_admit_states(name, p, monkeypatch):
         assert not e or down[e] & zeros == 1 << (e - 1)
         assert (son is None) == (not oracle(ones, zeros, k))
         if son is not None:
-            assert son == union_over(down, ones)
+            # the ones are a down-set, so the size window alone decides
+            assert union_over(down, ones) == ones
 
     count = wrap_admits(monkeypatch, ideals, check)
     for k in range(p.w + 1):
@@ -126,6 +130,57 @@ def test_k_ideal_admit_states(name, p, monkeypatch):
         stats = enumerate_k_ideals(p, k).stats
         forced = forced_single_sons(family, k, oracle, close)
         assert count["calls"] - before == stats.candidate_sons + 1 - forced
+
+
+def falling(p):
+    """p with its labels reversed, so every cover falls in label and its
+    linear extension is not 1..w."""
+    return Poset(p.w, [(p.w + 1 - u, p.w + 1 - v) for u in p.elements for v in p.upper_covers(u)])
+
+
+FALLING_POSETS = [(f"falling-{name}", falling(p)) for name, p in STATE_POSETS if name.startswith("layered")]
+
+
+@pytest.mark.parametrize("name, q", FALLING_POSETS, ids=[name for name, _ in FALLING_POSETS])
+def test_k_ideal_window_premise(name, q, monkeypatch):
+    # the k-ideal admit reads a son's size window alone: that is the oracle's
+    # answer only while the ones are a down-set and the zeros an up-set,
+    # here checked where the filters' implication-index bits are not p.up_masks
+    assert _linext_up_bits(q) is not q.up_masks
+    down, up = q.down_masks, q.up_masks
+    full = (1 << q.w) - 1
+    admitted = [0]
+
+    def assert_closed(ones, twos):
+        zeros = full & ~(ones | twos)
+        assert union_over(down, ones) == ones and union_over(up, zeros) == zeros
+
+    def checked(admit):
+        def admit_closed(state, ones, twos, e):
+            son = admit(state, ones, twos, e)
+            if son is not None:
+                assert_closed(ones, twos)
+                admitted[0] += 1
+            return son
+
+        return admit_closed
+
+    lifo, lifo_k = ideals._lifo, ideals._lifo_k
+    monkeypatch.setattr(ideals, "_lifo", lambda family, admit, root, *, _filters=None:
+                        lifo(family, checked(admit), root, _filters=_filters))
+    monkeypatch.setattr(ideals, "_lifo_k", lambda family, k, admit, root, *, _filters=None:
+                        lifo_k(family, k, checked(admit), root, _filters=_filters))
+    family, oracle = natural_base(q), ideal_oracle(q)
+    for k in [None, *range(q.w + 1)]:
+        eager = enumerate_k_ideals(q, k)
+        lazy = enumerate_models(family) if k is None else enumerate_k_models(family, k, oracle)
+        for r in eager.rows:
+            assert_closed(r.ones_mask, r.twos_mask)
+        assert [(r.ones_mask, r.twos_mask, r.pending) for r in eager.rows] == [
+            (r.ones_mask, r.twos_mask, r.pending) for r in lazy.rows
+        ]
+        assert eager.stats == lazy.stats
+    assert admitted[0] > 0
 
 
 def state_trees():

@@ -189,3 +189,22 @@ def test_rising_relations_match_warshall_reference(w, relations, monkeypatch):
         # every pair in range rises: the topological sort must not run
         monkeypatch.setattr("wildrows.core.heapq", None)
     test_poset_matches_warshall_reference(w, relations)
+
+
+@pytest.mark.parametrize("cases", [RISING, list(instances())], ids=["rising", "random"])
+def test_one_shot_iterable_builds_the_same_poset(cases):
+    # Poset reads its relations once, into masks and adjacency lists alike,
+    # so an iterator (repeats and self-loops included) gives the same order,
+    # or the same error text
+    for w, relations in cases:
+        try:
+            expected = Poset(w, relations)
+        except InputError as err:
+            with pytest.raises(InputError) as info:
+                Poset(w, iter(relations))
+            assert str(info.value) == str(err), (w, relations)
+            continue
+        p = Poset(w, iter(relations))
+        assert p.linext == expected.linext, (w, relations)
+        for table in ("down_masks", "up_masks", "lower_cover_masks", "upper_cover_masks"):
+            assert getattr(p, table) == getattr(expected, table), (w, relations, table)
