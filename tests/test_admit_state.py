@@ -3,9 +3,9 @@
 Each test wraps the `admit` that an enumerator hands to `_lifo_k` and checks
 every call against the enumerator's oracle, computed from scratch: a
 returned k-subtree state must equal the one derived from the whole son, a
-refusal must match the oracle, and the loop must call the admit once for the root
-and once per candidate son, less the forced single sons, which it never
-vets (counted by a replay through the public `candidate_sons`).  A
+refusal must match the oracle, and the loop must call the admit once for
+the root and once per candidate son, less the forced single sons, which it
+never vets (counted by a replay through the public `candidate_sons`).  A
 k-subtree son that adds nothing to its father's state gets the father's
 state object back; that test also checks that this happens, so the
 shortcut is exercised and held to the same checks.  A k-ideal son zeroes
