@@ -53,9 +53,10 @@ class Closer:
         queue = list(bit_positions(x))
         while queue:
             e = queue.pop()
-            for i in self._touch[e]:
+            touched = self._touch[e]
+            self.decrements += len(touched)
+            for i in touched:
                 counts[i] -= 1
-                self.decrements += 1
                 if counts[i] == 0:
                     new = concs[i] & ~x
                     if new:

@@ -585,13 +585,13 @@ class Poset:
         for u, v in relations:
             try:
                 bu, bv = bit[u], bit[v]
-            except KeyError:
-                raise InputError(f"relation ({u},{v}) outside universe 1..{w}") from None
-            if u != v:
-                pred[v] |= bu
-                succ[u] |= bv
-                below[v].append(u)
-                above[u].append(v)
+                if u != v:
+                    pred[v] |= bu
+                    succ[u] |= bv
+                    below[v].append(u)
+                    above[u].append(v)
+            except (KeyError, TypeError):
+                raise InputError(f"relation ({u!r},{v!r}) outside universe 1..{w}") from None
         if all(pred[v] < bit[v] for v in range(1, w + 1)):
             # every pair rises: 1..w is the least linear extension and no cycle is possible
             order = range(1, w + 1)

@@ -151,18 +151,8 @@ def candidate_sons(r: Row012, imp: Implication) -> list[Row012]:
 
 def _premise_table(w: int, masks) -> list[int]:
     """table[e] is the bitset of the implication indices whose premise holds
-    element e (table[0] = 0).  One pass while every premise is empty or
-    {e}, as in a natural base; from the first larger premise on, linear in
-    the total premise length plus w*h/8 bytes: index lists, then one
-    bytearray per element."""
-    table = [0] * (w + 1)
-    for i, (prem, _) in enumerate(masks):
-        if prem & (prem - 1):
-            break
-        table[prem.bit_length()] |= 1 << i
-    else:
-        table[0] = 0  # the empty premises' bits
-        return table
+    element e (table[0] = 0).  Linear in the total premise length plus
+    w*h/8 bytes: `premise_index`, then one bytearray per element."""
     size = (len(masks) + 7) // 8
     table = [0]
     for indices in premise_index(w, masks)[1:]:

@@ -46,14 +46,6 @@ def down_closure_mask(p: Poset):
     return partial(union_over, p.down_masks)
 
 
-def _fits(z0: int, filt: int, w: int, k: int | None) -> bool:
-    """Whether a k-element ideal holds the down-set z0 and avoids the
-    up-set filt (k=None: an ideal of any size)."""
-    if z0 & filt:
-        return False
-    return k is None or z0.bit_count() <= k <= w - filt.bit_count()
-
-
 def ideal_oracle(p: Poset) -> FeasibilityOracle:
     """Fixed-cardinality feasibility for ideals.
 
@@ -69,7 +61,10 @@ def ideal_oracle(p: Poset) -> FeasibilityOracle:
 
     def oracle(ones, zeros, k):
         ones, zeros = _loose_mask(ones, w), _loose_mask(zeros, w) & full
-        return not ones >> w and _fits(union_over(down, ones), union_over(up, zeros), w, k)
+        if ones >> w:
+            return False
+        z0, filt = union_over(down, ones), union_over(up, zeros)
+        return not z0 & filt and (k is None or z0.bit_count() <= k <= w - filt.bit_count())
 
     return oracle
 
@@ -81,7 +76,7 @@ def enumerate_k_ideals(p: Poset, k: int | None) -> FinalStack:
     The engine gets p's filters, as twos masks and as implication-index
     bits (the latter p.up_masks itself when p.linext is 1..w), and zeroes a
     new zero's whole filter at once, so a son's zeros are an up-set and its
-    ones a down-set: `_fits` reduces to the size window
+    ones a down-set.  On such a row `ideal_oracle`'s test is the size window
     |ones| <= k <= |ones| + |twos|, which the stateless admit tests (stacked
     state (); k=None keeps every son).  The rows and counters are those of
     `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`, and

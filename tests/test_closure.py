@@ -83,6 +83,19 @@ def test_counter_chaining_is_linear():
             assert closer.decrements - before <= bound
 
 
+def test_decrements_count_every_premise_of_every_closed_element():
+    # every element of a closure is popped once and decrements the counter
+    # of each implication whose premise holds it: exact, not only bounded
+    rng = SplitMix64(53)
+    fam = random_family(rng, 12, 10)
+    closer = Closer(fam)
+    want = 0
+    for _ in range(8):
+        closed = closer.close(rng.sample(range(1, 13), rng.below(5)))
+        want += sum(e in imp.premise for e in closed for imp in fam)
+    assert closer.decrements == want == 36
+
+
 def test_closer_reusable():
     closer = Closer(TOY)
     assert closer.close({3}) == {3, 4, 5, 6, 7}

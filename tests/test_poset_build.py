@@ -208,3 +208,20 @@ def test_one_shot_iterable_builds_the_same_poset(cases):
         assert p.linext == expected.linext, (w, relations)
         for table in ("down_masks", "up_masks", "lower_cover_masks", "upper_cover_masks"):
             assert getattr(p, table) == getattr(expected, table), (w, relations, table)
+
+
+@pytest.mark.parametrize("bad", [(1, "2"), (1.0, 2), (1, 2.0), (1.5, 2), (None, 1), ([1], 2)],
+                         ids=repr)
+def test_a_non_int_label_is_named_by_repr(bad):
+    # a label that is no int in 1..w is refused with InputError, not with the
+    # TypeError of a list index; the first bad relation is named
+    for relations in ([bad], [(1, 2), bad, (0, 1)]):
+        with pytest.raises(InputError) as info:
+            Poset(3, relations)
+        assert str(info.value) == f"relation ({bad[0]!r},{bad[1]!r}) outside universe 1..3"
+
+
+def test_bool_labels_and_a_float_self_loop_are_accepted():
+    # bools are ints; a self-loop is skipped before any list is indexed
+    assert Poset(3, [(True, 2)]) == Poset(3, [(1, 2)])
+    assert Poset(3, [(2.0, 2.0), (1, 3)]) == Poset(3, [(1, 3)])
