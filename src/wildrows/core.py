@@ -565,7 +565,8 @@ class Poset:
     (ascending topological order, ties by label) is computed once and drives
     every deterministic ordering downstream.  When every pair u ≠ v rises
     (u < v) that extension is 1..w and no cycle can occur, so the
-    topological sort is skipped; every pair is still range-checked.
+    topological sort is skipped; every pair is still range-checked.  A
+    label outside 1..w, or a non-int one in a pair u ≠ v, raises InputError.
 
     The order is held as per-element masks indexed by label (index 0 unused):
     `down_masks`/`up_masks` for the generated ideal/filter,

@@ -1,4 +1,5 @@
-"""Shared randomized-instance builders for the test suite.
+"""Shared randomized-instance builders and reference helpers for the test
+suite.
 
 All randomness is seeded through SplitMix64 so every run exercises the same
 instances.
@@ -6,6 +7,24 @@ instances.
 
 from wildrows import Implication, ImplicationFamily, Poset, Row012, RowAB, SplitMix64
 from wildrows.core import Bundle
+
+
+def sets_of(iterable):
+    return sorted(tuple(sorted(s)) for s in iterable)
+
+
+def ideals_by_sweep(p: Poset) -> list[frozenset[int]]:
+    """All ideals straight from the order relation (independent reference)."""
+    down = [0] * (p.w + 1)
+    for e in p.elements:
+        for q in p.elements:
+            if p.le(q, e):
+                down[e] |= 1 << (q - 1)
+    out = []
+    for m in range(1 << p.w):
+        if all(down[e] & ~m == 0 for e in p.elements if m >> (e - 1) & 1):
+            out.append(frozenset(e for e in p.elements if m >> (e - 1) & 1))
+    return out
 
 
 def random_poset(rng: SplitMix64, w: int, density: float = 0.3) -> Poset:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from conftest import random_poset, random_rowab
+from conftest import ideals_by_sweep, random_poset, random_rowab, sets_of
 
 from wildrows import (
     InputError,
@@ -21,26 +21,11 @@ from wildrows import (
 from wildrows import LayeredSpec
 
 
-def sets_of(iterable):
-    return sorted(tuple(sorted(s)) for s in iterable)
-
-
 def members_by_sweep(r):
     for bits in itertools.product([0, 1], repeat=r.w):
         x = frozenset(i + 1 for i, b in enumerate(bits) if b)
         if x in r:
             yield x
-
-
-def ideals_by_sweep(p):
-    down = [0] * (p.w + 1)
-    for e in p.elements:
-        for q in p.elements:
-            if p.le(q, e):
-                down[e] |= 1 << (q - 1)
-    for m in range(1 << p.w):
-        if all(down[e] & ~m == 0 for e in p.elements if m >> (e - 1) & 1):
-            yield frozenset(e for e in p.elements if m >> (e - 1) & 1)
 
 
 # ---------------------------------------------------------------------------

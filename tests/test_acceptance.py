@@ -14,7 +14,7 @@ import warnings
 import pytest
 import sympy
 
-from conftest import random_poset
+from conftest import random_poset, sets_of
 
 from wildrows import (
     Implication,
@@ -57,10 +57,6 @@ TOY_FINAL = {
 def _verdict(num, name, ok, detail=""):
     print(f"[acceptance {num}] {name}: {'PASS' if ok else 'FAIL'}{detail}")
     assert ok, f"criterion {num} ({name}) failed{detail}"
-
-
-def sets_of(iterable):
-    return sorted(tuple(sorted(s)) for s in iterable)
 
 
 def rows_pairwise_disjoint(stack):

@@ -1,4 +1,5 @@
 import pytest
+from conftest import sets_of
 
 from wildrows import (
     GuardError,
@@ -25,10 +26,6 @@ TOY = ImplicationFamily(7, [
     Implication({1, 2, 3}, {7}),
     Implication({3}, {4, 5}),
 ])
-
-
-def sets_of(iterable):
-    return sorted(tuple(sorted(s)) for s in iterable)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import time
 import tracemalloc
 
 import pytest
-from conftest import random_row012, random_rowab
+from conftest import random_row012, random_rowab, sets_of
 
 from wildrows import (
     Closer,
@@ -37,10 +37,6 @@ from wildrows.core import Bundle, _within, from_mask, row012_k_members, union_ov
 from wildrows.engine import EngineStats, FinalStack
 
 ROW5_TEXT = "0 0 1 1 2 2 2 a1 b1 b1 a2 b2 b2 b2 a3 b3"
-
-
-def sets_of(iterable):
-    return sorted(tuple(sorted(s)) for s in iterable)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from conftest import random_family, random_row012
+from conftest import random_family, random_row012, sets_of
 
 from wildrows import (
     EngineStats,
@@ -38,10 +38,6 @@ TOY_FINAL = {
 
 def entries(rows):
     return [r.entries for r in rows]
-
-
-def sets_of(iterable):
-    return sorted(tuple(sorted(s)) for s in iterable)
 
 
 def row_member_masks(r):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from conftest import random_poset
+from conftest import ideals_by_sweep, random_poset, sets_of
 from test_packed_recursion import shuffled
 
 from wildrows import (
@@ -25,24 +25,6 @@ from wildrows import (
 )
 from wildrows.core import to_mask
 from wildrows.ideals import down_closure_mask
-
-
-def sets_of(iterable):
-    return sorted(tuple(sorted(s)) for s in iterable)
-
-
-def ideals_by_sweep(p):
-    """All ideals straight from the order relation (independent reference)."""
-    down = [0] * (p.w + 1)
-    for e in p.elements:
-        for q in p.elements:
-            if p.le(q, e):
-                down[e] |= 1 << (q - 1)
-    out = []
-    for m in range(1 << p.w):
-        if all(down[e] & ~m == 0 for e in p.elements if m >> (e - 1) & 1):
-            out.append(frozenset(e for e in p.elements if m >> (e - 1) & 1))
-    return out
 
 
 def test_natural_base_chain():

@@ -3,7 +3,7 @@ import time
 import tracemalloc
 
 import pytest
-from conftest import random_poset
+from conftest import ideals_by_sweep, random_poset
 from test_whitney_golden import LAYERED
 
 from wildrows import (
@@ -17,17 +17,6 @@ from wildrows import (
     whitney,
 )
 from wildrows.rankpoly import _by_linext, _comparability, _pivot
-
-
-def ideals_by_sweep(p):
-    down = [0] * (p.w + 1)
-    for e in p.elements:
-        for q in p.elements:
-            if p.le(q, e):
-                down[e] |= 1 << (q - 1)
-    for m in range(1 << p.w):
-        if all(down[e] & ~m == 0 for e in p.elements if m >> (e - 1) & 1):
-            yield frozenset(e for e in p.elements if m >> (e - 1) & 1)
 
 
 def induced_poset(p, keep):

@@ -3,6 +3,7 @@ import itertools
 import math
 
 import pytest
+from conftest import sets_of
 
 from wildrows import (
     GuardError,
@@ -25,10 +26,6 @@ from wildrows import (
 from wildrows import subtrees
 from wildrows.core import from_mask, to_mask
 from wildrows.subtrees import TREE_BASE_MAX_CELLS, TREE_BASE_MAX_LENGTH, _base_length, steiner_closure_mask
-
-
-def sets_of(iterable):
-    return sorted(tuple(sorted(s)) for s in iterable)
 
 
 def is_connected(t, x):

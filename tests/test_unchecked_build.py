@@ -1,7 +1,7 @@
 """Rows, polynomials, natural bases and tree bases that the library builds
 without the constructors' checks (`Record._trusted`) equal their rebuilds
 through the checking public constructors, field for field; the engine's
-one-pass premise table equals the general build."""
+premise table equals the general build."""
 
 import pickle
 from types import SimpleNamespace
