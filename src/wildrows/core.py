@@ -750,8 +750,9 @@ class Tree:
         self.w = w
         norm = []
         for u, v in edges:
-            if not (1 <= u <= w and 1 <= v <= w) or u == v:
-                raise InputError(f"bad tree edge ({u},{v})")
+            labels = isinstance(u, int) and isinstance(v, int)
+            if not (labels and 1 <= u <= w and 1 <= v <= w) or u == v:
+                raise InputError(f"bad tree edge ({u!r},{v!r})")
             norm.append((min(u, v), max(u, v)))
         norm.sort()
         if len(norm) != w - 1:

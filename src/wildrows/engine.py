@@ -4,18 +4,21 @@
 on the topmost working-stack row, excluding the violating sets by splitting
 the row into disjoint sons; the final stack partitions the full model
 family.  `enumerate_k_models` is the deletion-free fixed-cardinality
-variant: every candidate son is tested against a feasibility oracle as the
-loop makes it, before it may enter the stack, so no stacked row is ever
-discarded and the number of final rows never exceeds the number of
-k-element models.  The one exception is a forced single son: a split whose
-conclusion meets a zero and whose premise has one free position has one
-son, that position zeroed, with exactly its father's models, so the loop
-takes it untested.  Admit calls therefore number candidate_sons + 1 (the
-root) less the forced single sons.  On a poset's natural base the ideal
-enumerator, for one k or (k=None) for all ideals, hands the loop its
-filters, and a new zero then takes its whole filter at once, so the loop
-makes no forced single son there at all; candidate_sons still counts the
-ones it would have made.
+variant: every candidate son is tested as the loop makes it, before it may
+enter the stack, so no stacked row is ever discarded and the number of
+final rows never exceeds the number of k-element models.  The loop itself
+kills a son outside its size window |ones| <= k <= |ones| + |twos|, which
+holds no k-element set in any family; `enumerate_k_models` then closes the
+son's ones and asks a feasibility oracle.  The one exception is a forced
+single son: a split whose conclusion meets a zero and whose premise has
+one free position has one son, that position zeroed, with exactly its
+father's models, so the loop takes it untested.  On a poset's natural base
+(the ideals) and on a tree's path base (the subtrees) the window alone is
+the exact test, so those enumerators hand the loop no test at all.  On the
+natural base the ideal enumerator, for one k or (k=None) for all ideals,
+hands the loop its filters, and a new zero then takes its whole filter at
+once, so the loop makes no forced single son there at all; candidate_sons
+still counts the ones it would have made.
 
 Most impositions on subtree bases are carry-overs: the row's zeros block the
 premise, or the conclusion is already forced, and the row goes on
@@ -23,16 +26,15 @@ unchanged.  Each stacked row therefore carries a bitset of the pending
 implications whose premise still misses its zeros; a pop jumps over the
 blocked ones with `bit_length`, and a son that gains a zero drops the
 premises holding it in one AND.  Processing order, rows and counters are
-those of imposing every implication in turn.  Each enumerator hands the
-loop an admission test and a root state; a stacked row carries the state
-its test returned, which the test of a son updates.  A split goes on with
-its first admitted son in place, and stacks only the others.
+those of imposing every implication in turn.  A split goes on with its
+first admitted son in place, and stacks only the others.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Callable, Iterator, Optional
 
 from .closure import Closer, is_model_mask, premise_index
@@ -163,35 +165,31 @@ def _premise_table(w: int, masks) -> list[int]:
     return table
 
 
-Admit = Callable[[object, int, int, int], object]
+Admit = Callable[[int, int], bool]
 
 
-def _lifo(family: ImplicationFamily, admit: Admit, root: object, *,
+def _lifo(family: ImplicationFamily, k: int | None = None, admit: Admit | None = None, *,
           _filters: tuple[list[int], list[int]] | None = None) -> FinalStack:
-    """The LIFO exclusion loop of both enumerators.
+    """The LIFO exclusion loop of every enumerator.
 
-    A stacked row is (ones, twos, open, state): bit i-1 of open is set
-    while implication i is pending and its premise misses the row's zeros;
-    state is what admit returned for the row.  A pop jumps over the
-    premise-blocked carry-overs with bit_length and tests only the
-    conclusions of the open implications, one by one.  A split makes its
-    sons in processing order (the rule of `candidate_sons`) and vets each
-    as it is made.  It goes on with the first admitted son in place and
-    inserts each later one where the stack ended before the split, below
-    the earlier ones, so pops = final rows + deletions.  A stacked son's chain imposes the indices
-    after its split, so impositions are charged when a chain ends: +h per
-    final row, +index per deletion and -index per stacked son.
+    A stacked row is (ones, twos, open): bit i-1 of open is set while
+    implication i is pending and its premise misses the row's zeros.  A pop
+    jumps over the premise-blocked carry-overs with bit_length and tests
+    only the conclusions of the open implications, one by one.  A split
+    makes its sons in processing order (the rule of `candidate_sons`) and
+    vets each as it is made.  It goes on with the first admitted son in
+    place and inserts each later one where the stack ended before the
+    split, below the earlier ones, so pops = final rows + deletions.  A
+    stacked son's chain imposes the indices after its split, so
+    impositions are charged when a chain ends: +h per final row, +index per
+    deletion and -index per stacked son.
 
-    admit(state, ones, twos, e) vets the son (ones, twos) of a row with
-    that state, e being the one zero the son gains (a staircase son) or 0
-    (the forced son), and returns the son's state, or None to refuse it;
-    the root row is vetted as admit(root, 0, full, 0).  So admit can
-    update the father's state for the son's new ones and its new zero
-    rather than derive it from the whole row, and may return the father's
-    state object itself for a son whose change it would not alter.  A
-    forced single son, whose one new zero no model of its father holds
-    (the split's conclusion meets a zero), keeps its father's state
-    unvetted: admit must return that state for such a son.
+    With an int k (refused outside 0..w), a son outside its size window
+    |ones| <= k <= |ones| + |twos| is killed first: it holds no k-element
+    set.  admit(ones, twos), when given, then vets the son; the root row is
+    vetted as admit(0, full).  A forced single son, whose one new zero no
+    model of its father holds (the split's conclusion meets a zero), has
+    its father's models and is taken unvetted.
 
     _filters, for a natural base alone, is (up, up_bits): up[e] is the
     filter of element e as a twos mask, up_bits[e] the same filter as
@@ -206,6 +204,10 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object, *,
     never stacked.
     """
     w, h = family.w, family.h
+    if k is not None:
+        k = operator.index(k)
+        if not 0 <= k <= w:
+            raise ValueError(f"k must be within 0..{w}, got {k}")
     masks = family.masks
     # a son that zeroes e drops the open implications of dropped[e]: those
     # whose premise holds e or, with _filters, those of e's whole filter
@@ -215,10 +217,10 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object, *,
     impositions = candidates = killed = deletions = 0
     final = []
     full = (1 << w) - 1
-    root = admit(root, 0, full, 0)
-    stack = [] if root is None else [(0, full, (1 << h) - 1, root)]
+    # the root holds every set, so its size window always holds
+    stack = [(0, full, (1 << h) - 1)] if admit is None or admit(0, full) else []
     while stack:
-        ones, twos, open_, state = stack.pop()
+        ones, twos, open_ = stack.pop()
         while True:
             while open_:
                 low = open_ & -open_
@@ -238,7 +240,7 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object, *,
             blocked = conc & ~(ones | twos)
             if blocked and split == 1:
                 # the only son zeroes the one free premise position, which no
-                # model of the row holds: it keeps the row's models and state
+                # model of the row holds: it keeps the row's models
                 twos ^= free
                 open_ &= out_prem[free.bit_length()]
                 candidates += 1
@@ -251,17 +253,17 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object, *,
                 t ^= low
                 e = low.bit_length()
                 son_twos = t & ~up[e] if eager else t
-                s = admit(state, o, son_twos, e)
-                if s is not None:
+                if ((k is None or o.bit_count() <= k <= (o | son_twos).bit_count())
+                        and (admit is None or admit(o, son_twos))):
                     # the new zeros block every premise holding one of them
                     son_open = open_ & out_prem[e]
                     if kept:
                         if kept == 1:
                             mark = len(stack)
-                        stack.insert(mark, (o, son_twos, son_open, s))
+                        stack.insert(mark, (o, son_twos, son_open))
                         impositions -= pending
                     else:
-                        next_row = o, son_twos, son_open, s
+                        next_row = o, son_twos, son_open
                         if eager:
                             candidates += open_.bit_count() - son_open.bit_count()
                     kept += 1
@@ -269,17 +271,17 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object, *,
             if not blocked:
                 split += 1
                 o, t = o | conc, t & ~conc
-                s = admit(state, o, t, 0)
-                if s is not None:
+                if ((k is None or o.bit_count() <= k <= (o | t).bit_count())
+                        and (admit is None or admit(o, t))):
                     if kept:
                         if kept == 1:
                             mark = len(stack)
-                        stack.insert(mark, (o, t, open_, s))
+                        stack.insert(mark, (o, t, open_))
                         impositions -= pending
                         if eager:
                             candidates += h - pending - open_.bit_count()
                     else:
-                        next_row = o, t, open_, s
+                        next_row = o, t, open_
                     kept += 1
             candidates += split
             killed += split - kept
@@ -289,17 +291,9 @@ def _lifo(family: ImplicationFamily, admit: Admit, root: object, *,
                 deletions += 1
                 impositions += pending
                 break
-            ones, twos, open_, state = next_row
+            ones, twos, open_ = next_row
     stats = EngineStats(impositions, candidates, killed, deletions, len(final))
     return FinalStack(tuple(final), stats)
-
-
-def _lifo_k(family: ImplicationFamily, k: int, admit: Admit, root: object, *,
-            _filters: tuple[list[int], list[int]] | None = None) -> FinalStack:
-    """_lifo for the k-element models; refuses k outside 0..w."""
-    if not 0 <= k <= family.w:
-        raise ValueError(f"k must be within 0..{family.w}, got {k}")
-    return _lifo(family, admit, root, _filters=_filters)
 
 
 def enumerate_models(family: ImplicationFamily) -> FinalStack:
@@ -308,7 +302,7 @@ def enumerate_models(family: ImplicationFamily) -> FinalStack:
     Deterministic: the topmost working-stack row is always processed next,
     and sons are pushed so that the first-listed son is processed first.
     """
-    return _lifo(family, lambda state, ones, twos, e: (), ())
+    return _lifo(family)
 
 
 def enumerate_k_models(
@@ -321,13 +315,15 @@ def enumerate_k_models(
     """Deletion-free enumeration of the k-element models.
 
     Every candidate son but a forced single son (see `_lifo`), which has
-    its father's models, is admitted only after a feasibility test: close the
+    its father's models, is admitted only after a feasibility test: reject
+    a son outside its size window (the loop's own test), then close the
     son's ones-part, reject when the closure outgrows k or collides with the
     son's zeros, otherwise ask the oracle for a k-element model extending the
     closure and avoiding the zeros.  Each final row therefore contains at
     least one k-element model, no stacked row is ever discarded, and the
     final row count is at most the number of k-element models.  Use
-    `FinalStack.sets(k)` to materialize them.
+    `FinalStack.sets(k)` to materialize them.  k must be an int: None and
+    other types raise TypeError.
 
     The oracle receives the closure and the zeros as int masks,
     `oracle(z0_mask, zeros_mask, k)`, so no set is built per call.
@@ -346,19 +342,17 @@ def enumerate_k_models(
     - candidate_sons <= (p + 1) * splits, a split being an imposition that
       is not a carry-over: at most p staircase sons and one forced son.
     """
+    k = operator.index(k)
     full = (1 << family.w) - 1
     if closure_mask is None:
         closure_mask = Closer(family).close_mask
 
-    def admit(state, ones, twos, e):
-        # stateless: every son is closed and asked about from scratch
+    def admit(ones, twos):
         zeros = full & ~(ones | twos)
         z0 = closure_mask(ones)
-        if z0.bit_count() > k or z0 & zeros or not oracle(z0, zeros, k):
-            return None
-        return ()
+        return z0.bit_count() <= k and not z0 & zeros and oracle(z0, zeros, k)
 
-    return _lifo_k(family, k, admit, ())
+    return _lifo(family, k, admit)
 
 
 def brute_oracle(family: ImplicationFamily) -> FeasibilityOracle:

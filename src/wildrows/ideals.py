@@ -7,13 +7,12 @@ element at a time, every cardinality in between is realized.  The engine
 gets the filters: a staircase son zeroes its new zero's whole filter at
 once, so a row's zeros are always an up-set, the filter itself.  Its ones
 are always a down-set, since a forced son adds an element and its lower
-covers, whose own covers are ones already.  So the k-ideal enumerator
-carries no state and vets a son by its size window alone,
-|ones| <= k <= |ones| + |twos|.  Zeroed one at a time, each element of a
-filter would come up later, free with a zero lower cover, as a forced
+covers, whose own covers are ones already.  So the loop's own size window,
+|ones| <= k <= |ones| + |twos|, is the whole feasibility test, and the
+k-ideal enumerator hands it no admit.  Zeroed one at a time, each element
+of a filter would come up later, free with a zero lower cover, as a forced
 single son (about three in four candidate sons on layered posets).  The
-loop takes none of them but counts them among candidate_sons, so admit
-calls number candidate_sons + 1 less those sons.
+loop takes none of them but counts them among candidate_sons.
 The same enumerator with k=None lists every ideal, the CLI's one path.
 """
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 from functools import partial
 
 from .core import ImplicationFamily, Poset, _linext_up_bits, _loose_mask, union_over
-from .engine import FeasibilityOracle, FinalStack, _lifo, _lifo_k
+from .engine import FeasibilityOracle, FinalStack, _lifo
 
 
 def natural_base(p: Poset) -> ImplicationFamily:
@@ -76,16 +75,11 @@ def enumerate_k_ideals(p: Poset, k: int | None) -> FinalStack:
     The engine gets p's filters, as twos masks and as implication-index
     bits (the latter p.up_masks itself when p.linext is 1..w), and zeroes a
     new zero's whole filter at once, so a son's zeros are an up-set and its
-    ones a down-set.  On such a row `ideal_oracle`'s test is the size window
-    |ones| <= k <= |ones| + |twos|, which the stateless admit tests (stacked
-    state (); k=None keeps every son).  The rows and counters are those of
+    ones a down-set.  On such a row `ideal_oracle`'s test is the loop's size
+    window |ones| <= k <= |ones| + |twos|, so no admit is passed (k=None
+    keeps every son).  The rows and counters are those of
     `enumerate_k_models` with `ideal_oracle` and `down_closure_mask`, and
-    for k=None those of `enumerate_models(natural_base(p))`.
+    for k=None those of `enumerate_models(natural_base(p))`.  A k that is
+    not an int or None raises TypeError.
     """
-    def admit(state, ones, twos, e):
-        return () if ones.bit_count() <= k <= (ones | twos).bit_count() else None
-
-    family, filters = natural_base(p), (p.up_masks, _linext_up_bits(p))
-    if k is None:
-        return _lifo(family, lambda state, ones, twos, e: (), (), _filters=filters)
-    return _lifo_k(family, k, admit, (), _filters=filters)
+    return _lifo(natural_base(p), k, _filters=(p.up_masks, _linext_up_bits(p)))

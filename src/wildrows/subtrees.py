@@ -5,18 +5,83 @@ singletons included): any two non-adjacent members force the interior of
 their unique path.  All tree paths come from one table of root-path masks,
 read off the tree's breadth-first traversal from vertex 1 (`Tree.bfs_order`,
 `Tree.bfs_parent`): a base implication's interior is a few mask operations,
-and a Steiner closure takes O(|seed|) of them.  The feasibility test grows
-one component of the forbidden-vertex-free forest, up to k vertices, and
-returns it as the row's witness.  The k-subtree enumerator carries each
-stacked row's Steiner accumulators and witness: a son closes only its new
-ones, and one whose closure stays in its father's witness, with no new zero
-in it, is feasible by that witness (its father's state, if it adds no one).
+and a Steiner closure takes O(|seed|) of them.  `subtree_oracle` grows one
+component of the forbidden-vertex-free forest, up to k vertices.
+
+`enumerate_k_subtrees` passes the loop no admit: on `tree_base` the loop's
+size window |ones| <= k <= |ones| + |twos| is the exact feasibility test.
+Call a row's non-zeros N and its ones O, let d be the tree distance, and
+write int(x,y) for the interior of path(x,y).  Pairs are imposed by length
+descending, ties by key(x,y) = (min, max) ascending, and a row satisfies
+every pair imposed on it: an endpoint is zero or the interior is in O
+(call this (S)).  The premise is that every row of the loop, the unvetted
+ones included, keeps
+
+- (I1) N a subtree, and
+- (I2) O a subtree or empty.
+
+The root has O empty and N all of t.  Suppose {u,v}, of length D, is
+imposed with u and v non-zero and int(u,v) not in O.
+
+(I1) Let u be free, and let c be a non-zero neighbour of u off path(u,v).
+Then {c,v} is longer, so it was imposed earlier with c and v non-zero.  By
+(S), int(c,v) is in O, and int(c,v) holds u, which is free.  So a free end
+u has one neighbour u' in N, on path(u,v): it is a leaf of N, and so is
+every new zero.  Since N is connected, the conclusion never meets a zero,
+so the loop makes no forced single son here.
+
+(L) If u and v are both free, then O is empty.  The proof uses a lemma on
+keys.  For distinct labels P, Q, U and V, key(P,V) > key(U,V) and
+key(Q,U) > key(P,Q) never both hold.  To see this, take the least label.
+If it is P or U, one inequality fails at once.  If it is V, the first
+inequality gives P > U, and then the second fails.  If it is Q, the
+second gives U > P, and then the first fails.
+
+Suppose O is not empty.  If both u' and v' were in O, the connected O
+would hold path(u',v') = int(u,v).  So say v has no neighbour in O.  For
+every o in O the pair {o,v} then waits: imposed, it would have put v's
+neighbour on path(o,v) into O, by (S).  So d(o,v) <= D, with equality
+only if key(o,v) > key(u,v).  There are two cases, and each uses the
+four-point condition of tree metrics:
+d(a,b) + d(x,y) <= max(d(a,x) + d(b,y), d(a,y) + d(b,x)).
+
+- u' is in O.  A son that makes one end of a pair one and zeroes the
+  other makes a leaf of its N one (I1), and u', inside path(u,v), has two
+  neighbours in N.  So u' came with a forced son of a pair {x,y} of length
+  D'' >= D, with u' on path(x,y) and x and y in O since.  Now d(x,v) and
+  d(y,v) are at most D, and d(x,u) = d(x,u') + 1, since u is free.  Name
+  x and y so that the four-point condition gives d(x,u) >= D''.  Then u'
+  is y or a neighbour of y.  If u' = y, then {x,u} is longer than {x,y}, so it was
+  imposed first, and by (S) it put u' into O before {x,y} did.  Otherwise
+  d(x,u) = D'' and d(y,v) = D.  The pair {x,u} comes after {x,y} for the
+  same reason, and key(y,v) > key(u,v).  That contradicts the lemma, with
+  P = y and Q = x.
+- u' is not in O.  Then d(o,u) <= D too, with the same tie rule.  Take
+  the first row of this row's lineage with a one.  Its father had O empty,
+  so by (S) no pair inside that father's non-zeros N0 came earlier.  Its
+  pair {p,q} is therefore the first pair of N0 in the order, of length D0
+  = diam N0.  Let p be the end that became one.  The four-point condition
+  forces d(p,y) = D and d(q,z) = D0 for {y,z} = {u,v}.  So key(p,y) >
+  key(z,y), and {q,z} is a later pair of N0, with key(q,z) > key(p,q).
+  That contradicts the lemma.
+
+(I2) By (L), a son that makes one end one and zeroes the other comes from
+an empty O.  A forced son adds path(u,v), with u or v in O, or with O
+empty.  Either way O stays connected.
+
+So with |ones| <= k <= |ones| + |twos|, growing the ones inside the
+connected non-zeros reaches a k-vertex subtree.  The window is therefore
+`subtree_oracle`'s answer on every son.  The tests check (I1) and (I2) at
+every vetted son of every labelled tree with w <= 6 and of a seeded grid.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import partial
+
 from .core import GuardError, ImplicationFamily, Tree, _loose_mask, _within, from_mask, union_over
-from .engine import FeasibilityOracle, FinalStack, _lifo_k
+from .engine import FeasibilityOracle, FinalStack, _lifo
 
 # Largest total written length tree_base will build.  Building it peaks
 # (tracemalloc, CPython 3.11) at 2.9 bytes per element on the 287-vertex path
@@ -103,21 +168,22 @@ def tree_base(t: Tree) -> ImplicationFamily:
     return ImplicationFamily._trusted(t.w, tuple(pairs))
 
 
-def _steiner(up, tip, union: int, common: int, seed: int) -> tuple[int, int, int]:
-    """Extend the OR (union) and AND (common) of root paths by the seed's
-    vertices; returns them with the closure they span.  Start from
-    (0, -1); the closure of no vertex is empty.  A fold skips the seed's
-    vertices in union & ~common: each lies on a folded root path below the
-    common path, so its own root path, a prefix of that one holding the
-    common path, would change neither accumulator.  Vertices on the common
-    path are still folded: they can raise the lowest common ancestor."""
+def _steiner(up, tip, seed: int) -> int:
+    """The closure of the seed: the OR (union) and AND (common) of its
+    vertices' root paths, the union less the common path but its tip; the
+    closure of no vertex is empty.  The fold skips the seed's vertices in
+    union & ~common: each lies on a folded root path below the common path,
+    so its own root path, a prefix of that one holding the common path,
+    would change neither.  Vertices on the common path are still folded:
+    they can raise the lowest common ancestor."""
+    union, common = 0, -1
     while seed:
         low = seed & -seed
         v = low.bit_length()
         union |= up[v]
         common &= up[v]
         seed &= ~(union & ~common | low)
-    return union, common, (union & ~common | tip[common] if union else 0)
+    return union & ~common | tip[common] if union else 0
 
 
 def steiner_closure_mask(t: Tree):
@@ -129,12 +195,7 @@ def steiner_closure_mask(t: Tree):
     leaves the smallest subtree containing the seed.  O(|seed|) mask
     operations per call; agrees with forward chaining on tree_base(t).
     """
-    up, tip = _path_table(t)
-
-    def close_mask(seed: int) -> int:
-        return _steiner(up, tip, 0, -1, seed)[2]
-
-    return close_mask
+    return partial(_steiner, *_path_table(t))
 
 
 def steiner_closure(t: Tree, s) -> frozenset[int]:
@@ -211,34 +272,9 @@ def enumerate_k_subtrees(t: Tree, k: int) -> FinalStack:
     """All k-vertex subtrees of t, each exactly once, as disjoint rows.
 
     k=0 yields the empty set, k=1 all singletons (both count as subtrees).
-    Each stacked row carries the Steiner accumulators of its ones, their
-    closure z0 and a witness: the connected set, found by `_witness`, that
-    proved the row feasible (at the root, empty accumulators and the
-    witness grown from vertex 1).  A son pays root paths only for its ones
-    outside its father's closure.  When its closure stays inside the
-    father's witness and its one new zero (if any) misses it, that witness
-    proves the son feasible too, and only |z0| <= k is left to test (with
-    no new one, the father settled that too: the son gets its father's
-    state object); otherwise the son grows its own witness.  The rows and
-    counters are those of `enumerate_k_models` with `subtree_oracle`.
+    k must be an int: None and other types raise TypeError.  The loop vets
+    each son by its size window alone, which on tree_base(t) is exact (see
+    the module docstring), so the rows and counters are those of
+    `enumerate_k_models` with `subtree_oracle`.
     """
-    family = tree_base(t)
-    up, tip = _path_table(t)
-    nbr = t.neighbor_masks
-    full = (1 << t.w) - 1
-
-    def admit(state, ones, twos, e):
-        # a vertex inside the closure already lies on the union and below
-        # the common path, so it leaves both accumulators unchanged
-        union, common, z0, witness = state
-        if ones & ~z0:
-            union, common, z0 = _steiner(up, tip, union, common, ones & ~z0)
-        elif not (e and witness >> (e - 1) & 1):
-            return state  # its admission settled z0 and the witness
-        # a son's zeros are its father's, which miss the witness, plus e
-        if not z0 & ~witness and not (e and witness >> (e - 1) & 1):
-            return (union, common, z0, witness) if z0.bit_count() <= k else None
-        witness = _witness(z0, full & ~(ones | twos), full, nbr, k)
-        return None if witness is None else (union, common, z0, witness)
-
-    return _lifo_k(family, k, admit, (0, -1, 0, _witness(0, 0, full, nbr, k)))
+    return _lifo(tree_base(t), operator.index(k))

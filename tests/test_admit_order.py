@@ -1,13 +1,13 @@
-"""Golden test of the admission calls the LIFO loop makes.
+"""Golden test of the sons the LIFO loop vets.
 
 Rows and counters alone do not show in which order the engine vets its
-candidate sons, nor which father state each test starts from.  Each test
-below wraps the `admit` that an enumerator hands to `_lifo_k` and pins the
-sha256 of the full call sequence: for every call, the son's ones and twos,
-its new zero e, and the state the admit returned (None for a refused son).
-A forced single son, which the loop takes with its father's state, makes no
-call.  A k-ideal son's twos lack the whole filter of its zeros, and its
-state is the empty tuple: the admit reads the son's size window alone.
+candidate sons.  Each test below wraps the `_lifo` an enumerator calls and
+pins the sha256 of the full call sequence of its admit: for every call, the
+son's ones and twos and the admit's answer.  The loop kills a son outside
+its size window before any admit sees it, and takes a forced single son
+unvetted.  The k-ideal and k-subtree enumerators pass no admit, so the
+wrapper injects one that keeps every son: it records the sons that pass the
+window.  A k-ideal son's twos lack the whole filter of its zeros.
 """
 
 import hashlib
@@ -30,24 +30,23 @@ from wildrows import engine, ideals, subtrees
 
 
 def record_admits(monkeypatch, module):
-    """Wrap module._lifo_k so every admit call is fed to a sha256; returns
+    """Wrap module._lifo so every admit call is fed to a sha256, with an
+    admit that keeps every son where the enumerator passes none; returns
     the hash object and a one-slot call counter."""
     digest = hashlib.sha256()
     calls = [0]
-    lifo_k = module._lifo_k
+    lifo = module._lifo
 
-    def recording_lifo_k(family, k, admit, root, *, _filters=None):
-        def recorded(state, ones, twos, e):
-            # the root too is vetted as a son of a state, never of None
-            assert state is not None
-            son = admit(state, ones, twos, e)
-            digest.update(repr((ones, twos, e, son)).encode())
+    def recording_lifo(family, k=None, admit=None, *, _filters=None):
+        def recorded(ones, twos):
+            son = True if admit is None else admit(ones, twos)
+            digest.update(repr((ones, twos, son)).encode())
             calls[0] += 1
             return son
 
-        return lifo_k(family, k, recorded, root, _filters=_filters)
+        return lifo(family, k, recorded, _filters=_filters)
 
-    monkeypatch.setattr(module, "_lifo_k", recording_lifo_k)
+    monkeypatch.setattr(module, "_lifo", recording_lifo)
     return digest, calls
 
 
@@ -80,8 +79,8 @@ def test_k_ideal_admit_order(monkeypatch):
     for p in admit_posets():
         for k in range(p.w + 1):
             enumerate_k_ideals(p, k)
-    assert calls[0] == 1365
-    assert digest.hexdigest() == "2bc332189451ff4d8c8f6df8f215092a7b9e8bc63ddd704d48287a6f3b8faeea"
+    assert calls[0] == 959
+    assert digest.hexdigest() == "766482395ed3b39703750dd0013e470fd52c58488bd1526b19f87dd417f88adc"
 
 
 def test_k_subtree_admit_order(monkeypatch):
@@ -89,8 +88,8 @@ def test_k_subtree_admit_order(monkeypatch):
     for t in admit_trees():
         for k in range(t.w + 1):
             enumerate_k_subtrees(t, k)
-    assert calls[0] == 10205
-    assert digest.hexdigest() == "9d013f244a25f4b48504175bcc45beb8aa8a6dbcc9beca14d7e9834c44b04d66"
+    assert calls[0] == 6619
+    assert digest.hexdigest() == "a831dbad400847b8a1a98ef28ed4fc0c3105dc482de9578809b3767d442cfae0"
 
 
 def test_k_model_admit_order(monkeypatch):
@@ -99,5 +98,5 @@ def test_k_model_admit_order(monkeypatch):
         oracle = brute_oracle(family)
         for k in range(family.w + 1):
             enumerate_k_models(family, k, oracle)
-    assert calls[0] == 1132
-    assert digest.hexdigest() == "32dc91d79077886a0d656b4472ef7d420810b962ce74802f328e6bb45b7822b7"
+    assert calls[0] == 832
+    assert digest.hexdigest() == "973478ba0ff7c966923da5b202580987228af5339c59b15bce8822cd5ebd05c6"

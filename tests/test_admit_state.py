@@ -1,19 +1,22 @@
-"""The states the k-ideal and k-subtree admits return, at workload scale.
+"""The sons the LIFO loop vets on a natural base and on a tree base.
 
-Each test wraps the `admit` that an enumerator hands to `_lifo_k` and checks
-every call against the enumerator's oracle, computed from scratch: a
-returned k-subtree state must equal the one derived from the whole son, a
-refusal must match the oracle, and the loop must call the admit once for
-the root and once per candidate son, less the forced single sons, which it
-never vets (counted by a replay through the public `candidate_sons`).  A
-k-subtree son that adds nothing to its father's state gets the father's
-state object back; that test also checks that this happens, so the
-shortcut is exercised and held to the same checks.  A k-ideal son zeroes
-its new zero's whole filter at once, so the loop never reaches the forced
-single sons that would zero it one element at a time; that test checks
-that the zeros of every vetted son are an up-set and the ones of every
-admitted son a down-set, on which the k-ideal admit's size window rests.
+`enumerate_k_ideals` and `enumerate_k_subtrees` hand the loop no admit: its
+size window |ones| <= k <= |ones| + |twos| is their whole feasibility test.
+Each test wraps the `_lifo` the enumerator calls and injects an admit that
+keeps every son but checks it first, so it sees exactly the sons inside
+the window; the rows and counters must equal those of the uninjected run.
+On every such son the enumerator's oracle, computed from scratch, must say
+yes, and the premise the window rests on must hold: on a natural base the
+zeros are an up-set and the ones a down-set, on a tree base the non-zeros
+are a subtree and the ones a subtree or empty.  The loop calls the admit
+once for the root and once per candidate son, less the window's kills and
+the forced single sons, which it never vets.  A k-ideal son zeroes its new
+zero's whole filter at once, so the loop never reaches the forced single
+sons that would zero it one element at a time (counted by a replay through
+the public `candidate_sons`); a tree base makes none at all.
 """
+
+import itertools
 
 import pytest
 
@@ -37,33 +40,31 @@ from wildrows import (
 from wildrows import ideals, subtrees
 from wildrows.core import _linext_up_bits, union_over
 from wildrows.ideals import down_closure_mask
-from wildrows.subtrees import steiner_closure_mask
 
 
-def wrap_admits(monkeypatch, module, check):
-    """Patch module._lifo_k so every admit call goes through
-    check(state, ones, twos, e, k, son); returns a counter of the calls and
-    of the candidate sons that got their father's state object."""
-    count = {"calls": 0, "same": 0}
-    lifo_k = module._lifo_k
+def shape(stack):
+    return [(r.ones_mask, r.twos_mask, r.pending) for r in stack.rows], stack.stats
 
-    def checking_lifo_k(family, k, admit, root, *, _filters=None):
-        def checked(state, ones, twos, e):
-            # the root too is vetted as a son of a state, never of None
-            assert state is not None
-            son = admit(state, ones, twos, e)
-            check(state, ones, twos, e, k, son)
-            # the first call of a query vets the root, which may keep the
-            # root state object: count only the candidate sons
-            count["same"] += son is not None and son is state and count["calls"] > first
-            count["calls"] += 1
-            return son
 
-        first = count["calls"]
-        return lifo_k(family, k, checked, root, _filters=_filters)
+def wrap_lifo(monkeypatch, module, check):
+    """Patch module._lifo so the loop vets every son with an admit that
+    calls check(ones, twos, k) and keeps the son; returns a one-slot call
+    counter."""
+    calls = [0]
+    lifo = module._lifo
 
-    monkeypatch.setattr(module, "_lifo_k", checking_lifo_k)
-    return count
+    def checking_lifo(family, k=None, admit=None, *, _filters=None):
+        assert admit is None
+
+        def keep(ones, twos):
+            check(ones, twos, k)
+            calls[0] += 1
+            return True
+
+        return lifo(family, k, keep, _filters=_filters)
+
+    monkeypatch.setattr(module, "_lifo", checking_lifo)
+    return calls
 
 
 def forced_single_sons(family, k, oracle, close_mask):
@@ -111,25 +112,24 @@ def test_k_ideal_admit_states(name, p, monkeypatch):
     full = (1 << p.w) - 1
     oracle = ideal_oracle(p)
     family, close = natural_base(p), down_closure_mask(p)
+    plain = [shape(enumerate_k_ideals(p, k)) for k in range(p.w + 1)]
 
-    def check(state, ones, twos, e, k, son):
+    def check(ones, twos, k):
         zeros = full & ~(ones | twos)
-        # a son zeroes its new zero's whole filter at once
+        # a son zeroes its new zero's whole filter at once, and its ones are
+        # a down-set, so the size window alone is the oracle's answer
         assert union_over(up, zeros) == zeros
-        # so its new zero is minimal among its zeros, which holds iff it lay
-        # outside the father's zeros: inside, it would make a forced single son
-        assert not e or down[e] & zeros == 1 << (e - 1)
-        assert (son is None) == (not oracle(ones, zeros, k))
-        if son is not None:
-            # the ones are a down-set, so the size window alone decides
-            assert union_over(down, ones) == ones
+        assert union_over(down, ones) == ones
+        assert oracle(ones, zeros, k)
 
-    count = wrap_admits(monkeypatch, ideals, check)
+    calls = wrap_lifo(monkeypatch, ideals, check)
     for k in range(p.w + 1):
-        before = count["calls"]
-        stats = enumerate_k_ideals(p, k).stats
+        before = calls[0]
+        stack = enumerate_k_ideals(p, k)
+        assert shape(stack) == plain[k]
+        stats = stack.stats
         forced = forced_single_sons(family, k, oracle, close)
-        assert count["calls"] - before == stats.candidate_sons + 1 - forced
+        assert calls[0] - before == stats.candidate_sons + 1 - forced - stats.killed_candidates
 
 
 def falling(p):
@@ -143,44 +143,59 @@ FALLING_POSETS = [(f"falling-{name}", falling(p)) for name, p in STATE_POSETS if
 
 @pytest.mark.parametrize("name, q", FALLING_POSETS, ids=[name for name, _ in FALLING_POSETS])
 def test_k_ideal_window_premise(name, q, monkeypatch):
-    # the k-ideal admit reads a son's size window alone: that is the oracle's
+    # the loop reads a k-ideal son's size window alone: that is the oracle's
     # answer only while the ones are a down-set and the zeros an up-set,
     # here checked where the filters' implication-index bits are not p.up_masks
     assert _linext_up_bits(q) is not q.up_masks
     down, up = q.down_masks, q.up_masks
     full = (1 << q.w) - 1
-    admitted = [0]
 
-    def assert_closed(ones, twos):
+    def assert_closed(ones, twos, k=None):
         zeros = full & ~(ones | twos)
         assert union_over(down, ones) == ones and union_over(up, zeros) == zeros
 
-    def checked(admit):
-        def admit_closed(state, ones, twos, e):
-            son = admit(state, ones, twos, e)
-            if son is not None:
-                assert_closed(ones, twos)
-                admitted[0] += 1
-            return son
-
-        return admit_closed
-
-    lifo, lifo_k = ideals._lifo, ideals._lifo_k
-    monkeypatch.setattr(ideals, "_lifo", lambda family, admit, root, *, _filters=None:
-                        lifo(family, checked(admit), root, _filters=_filters))
-    monkeypatch.setattr(ideals, "_lifo_k", lambda family, k, admit, root, *, _filters=None:
-                        lifo_k(family, k, checked(admit), root, _filters=_filters))
+    calls = wrap_lifo(monkeypatch, ideals, assert_closed)
     family, oracle = natural_base(q), ideal_oracle(q)
     for k in [None, *range(q.w + 1)]:
         eager = enumerate_k_ideals(q, k)
         lazy = enumerate_models(family) if k is None else enumerate_k_models(family, k, oracle)
         for r in eager.rows:
             assert_closed(r.ones_mask, r.twos_mask)
-        assert [(r.ones_mask, r.twos_mask, r.pending) for r in eager.rows] == [
-            (r.ones_mask, r.twos_mask, r.pending) for r in lazy.rows
-        ]
-        assert eager.stats == lazy.stats
-    assert admitted[0] > 0
+        assert shape(eager) == shape(lazy)
+    assert calls[0] > 0
+
+
+def connected(nbr, mask):
+    """Whether the vertex set `mask` is connected in the tree of `nbr`;
+    the empty set is."""
+    comp = frontier = mask & -mask
+    while frontier:
+        frontier = union_over(nbr, frontier) & mask & ~comp
+        comp |= frontier
+    return comp == mask
+
+
+def check_tree_premise(monkeypatch, t):
+    """Every son the loop vets on tree_base(t), at every k: its ones are a
+    subtree or empty, its non-zeros a subtree, and subtree_oracle accepts
+    it; the loop makes no forced single son, and the rows and counters are
+    those of the uninjected run."""
+    nbr = t.neighbor_masks
+    full = (1 << t.w) - 1
+    oracle = subtree_oracle(t)
+    plain = [shape(enumerate_k_subtrees(t, k)) for k in range(t.w + 1)]
+
+    def check(ones, twos, k):
+        assert connected(nbr, ones) and connected(nbr, ones | twos)
+        assert oracle(ones, full & ~(ones | twos), k)
+
+    calls = wrap_lifo(monkeypatch, subtrees, check)
+    for k in range(t.w + 1):
+        before = calls[0]
+        stack = enumerate_k_subtrees(t, k)
+        assert shape(stack) == plain[k]
+        assert calls[0] - before == stack.stats.candidate_sons + 1 - stack.stats.killed_candidates
+    monkeypatch.undo()
 
 
 def state_trees():
@@ -196,22 +211,31 @@ STATE_TREES = state_trees()
 
 @pytest.mark.parametrize("name, t", STATE_TREES, ids=[name for name, _ in STATE_TREES])
 def test_k_subtree_admit_states(name, t, monkeypatch):
-    full = (1 << t.w) - 1
-    close = steiner_closure_mask(t)
-    oracle = subtree_oracle(t)
+    check_tree_premise(monkeypatch, t)
 
-    def check(state, ones, twos, e, k, son):
-        zeros = full & ~(ones | twos)
-        assert (son is None) == (not oracle(ones, zeros, k))
-        if son is not None:
-            _, _, z0, witness = son
-            assert z0 == close(ones) and z0.bit_count() <= k
-            assert not z0 & ~witness and not witness & zeros
-            assert witness.bit_count() >= k
 
-    count = wrap_admits(monkeypatch, subtrees, check)
-    for k in range(t.w + 1):
-        before = count["calls"]
-        stats = enumerate_k_subtrees(t, k).stats
-        assert count["calls"] - before == stats.candidate_sons + 1
-    assert count["same"] > 0
+def decoded_tree(w, code):
+    """The labelled tree of a length-(w-2) code over 1..w, smallest leaf
+    first."""
+    degree = [1] * (w + 1)
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        u = min(x for x in range(1, w + 1) if degree[x] == 1)
+        edges.append((u, v))
+        degree[u] -= 1
+        degree[v] -= 1
+    edges.append(tuple(x for x in range(1, w + 1) if degree[x] == 1))
+    return Tree(w, edges)
+
+
+def test_k_subtree_window_premise_on_every_small_labelled_tree(monkeypatch):
+    # every labelled tree with w <= 6 (w^(w-2) of each size, 1296 at w = 6)
+    trees = [Tree(1, []), Tree(2, [(1, 2)])]
+    trees += [decoded_tree(w, code) for w in range(3, 7)
+              for code in itertools.product(range(1, w + 1), repeat=w - 2)]
+    assert len(trees) == 1 + 1 + 3 + 16 + 125 + 1296
+    assert len(set(tr.edges for tr in trees if tr.w == 6)) == 1296
+    for t in trees:
+        check_tree_premise(monkeypatch, t)

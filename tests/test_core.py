@@ -480,6 +480,23 @@ def test_tree_validation():
             Tree(4, edges)
 
 
+@pytest.mark.parametrize("bad", [(1, "2"), (1.0, 2), (1, 2.5), (None, 1), ([1], 2)])
+def test_tree_refuses_a_non_int_label(bad):
+    # a label that is no int is refused with InputError and named by repr,
+    # not with the TypeError of a comparison, a list index or a shift
+    with pytest.raises(InputError) as e:
+        Tree(3, [bad, (2, 3)])
+    assert str(e.value) == f"bad tree edge ({bad[0]!r},{bad[1]!r})"
+
+
+def test_tree_int_texts_and_bool_labels_stay():
+    with pytest.raises(InputError) as e:
+        Tree(3, [(1, 4), (2, 3)])
+    assert str(e.value) == "bad tree edge (1,4)"
+    # bools are ints
+    assert Tree(3, [(True, 2), (2, 3)]) == Tree.path_graph(3)
+
+
 def test_tree_without_vertices():
     with pytest.raises(InputError) as e:
         Tree(0, [])

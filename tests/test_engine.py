@@ -10,13 +10,18 @@ from wildrows import (
     Implication,
     ImplicationFamily,
     InputError,
+    Poset,
     Row012,
     SplitMix64,
+    Tree,
     brute_models,
     brute_oracle,
     candidate_sons,
+    enumerate_k_ideals,
     enumerate_k_models,
+    enumerate_k_subtrees,
     enumerate_models,
+    natural_base,
     parse_row,
 )
 from wildrows.core import row012_k_members
@@ -226,6 +231,35 @@ def test_k_models_root_vetted_once_like_a_son():
     stack = enumerate_k_models(fam, 1, lambda *a: calls.append(a) or oracle(*a))
     assert stack == FinalStack((), EngineStats())
     assert calls == [(0, 0, 1)]
+
+
+@pytest.mark.parametrize("k", [1.5, "2", None])
+def test_k_must_be_an_int(k):
+    # the loop reads k through operator.index: a float or a str is refused
+    # by type, and so is None wherever it does not list every ideal
+    t, p = Tree.path_graph(3), Poset.chain(3)
+    family = natural_base(p)
+    with pytest.raises(TypeError):
+        enumerate_k_subtrees(t, k)
+    with pytest.raises(TypeError):
+        enumerate_k_models(family, k, brute_oracle(family))
+    if k is not None:
+        with pytest.raises(TypeError):
+            enumerate_k_ideals(p, k)
+
+
+def test_a_bool_k_acts_as_an_int_and_the_range_texts_stay():
+    t, p = Tree.path_graph(3), Poset.chain(3)
+    family = natural_base(p)
+    oracle = brute_oracle(family)
+    runs = [lambda k: enumerate_k_subtrees(t, k), lambda k: enumerate_k_ideals(p, k),
+            lambda k: enumerate_k_models(family, k, oracle)]
+    for run in runs:
+        assert run(True) == run(1)
+        for k in (-1, 4):
+            with pytest.raises(ValueError) as info:
+                run(k)
+            assert str(info.value) == f"k must be within 0..3, got {k}"
 
 
 # ---------------------------------------------------------------------------

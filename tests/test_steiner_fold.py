@@ -1,10 +1,10 @@
 """The Steiner fold with its covered-vertex skip, folded in steps.
 
 `subtrees._steiner` skips the seed's vertices that already lie inside the
-union of folded root paths and below their common path.  The k-subtree
-admit folds each son's new ones into its father's accumulators, so the
-skip must leave running accumulators exactly as a fold of every vertex
-would.
+union of folded root paths and below their common path.  The skip must
+leave the closure a fold of every vertex would give, and the closure must
+be one: closing a running closure with each further seed in turn gives
+the closure of their union.
 """
 
 import functools
@@ -24,21 +24,23 @@ def fold_trees():
 
 
 def test_steiner_fold_in_steps_matches_one_fold_and_forward_chaining():
-    # fold random seeds into running accumulators, step by step: the result
-    # is the OR and AND of every seed vertex's root path, the one-shot fold
-    # from (0, -1), and its closure the forward chaining on tree_base(t)
+    # fold random seeds into a running closure, step by step: the result is
+    # the closure of every seed so far, read off the OR and AND of their
+    # vertices' root paths without any skip, and the forward chaining on
+    # tree_base(t)
     rng = SplitMix64(1039)
     for t in fold_trees():
         up, tip = subtrees._path_table(t)
         chained = Closer(tree_base(t)).close_mask
         for _ in range(12):
-            union, common, total = 0, -1, 0
+            z0, total = 0, 0
             for _ in range(1 + rng.below(4)):
                 seed = to_mask(rng.sample(t.vertices, rng.below(t.w + 1)))
-                union, common, z0 = subtrees._steiner(up, tip, union, common, seed)
+                z0 = subtrees._steiner(up, tip, z0 | seed)
                 total |= seed
                 paths = [up[v] for v in from_mask(total)]
-                assert union == union_over(up, total)
-                assert common == functools.reduce(operator.and_, paths, -1)
-                assert (union, common, z0) == subtrees._steiner(up, tip, 0, -1, total)
+                union = union_over(up, total)
+                common = functools.reduce(operator.and_, paths, -1)
+                assert z0 == subtrees._steiner(up, tip, total)
+                assert z0 == (union & ~common | tip[common] if total else 0)
                 assert z0 == chained(total)

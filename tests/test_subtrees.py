@@ -396,43 +396,39 @@ WITNESS_TREES = witness_trees()
 
 @pytest.mark.parametrize("name, t", WITNESS_TREES, ids=[name for name, _ in WITNESS_TREES])
 def test_every_admitted_state_holds_a_valid_witness(name, t, monkeypatch):
-    # each state the admit returns is (union, common, z0, witness): the
-    # witness is a connected vertex set holding z0, missing the son's zeros,
-    # with at least k vertices; z0 is the closure of the son's ones
+    # every son the loop's size window admits holds a valid witness, as
+    # `_witness` finds it from scratch: a connected vertex set holding the
+    # son's ones (their own closure), missing its zeros, with at least k
+    # vertices.  An injected admit that keeps every son sees exactly the
+    # admitted sons: the root and every candidate son the window keeps
     full = (1 << t.w) - 1
     close = steiner_closure_mask(t)
-    lifo_k, witness_of = subtrees._lifo_k, subtrees._witness
-    count = {"admits": 0, "admitted": 0, "witness_calls": 0}
+    lifo = subtrees._lifo
+    count = {"admitted": 0}
 
-    def checking_lifo_k(family, k, admit, root, *, _filters=None):
-        def checked(state, ones, twos, e):
-            son = admit(state, ones, twos, e)
-            count["admits"] += 1
-            if son is not None:
-                _, _, z0, witness = son
-                assert z0 == close(ones)
-                assert is_connected(t, from_mask(witness))
-                assert not z0 & ~witness
-                assert not witness & full & ~(ones | twos)
-                assert witness.bit_count() >= k
-                count["admitted"] += 1
-            return son
+    def checking_lifo(family, k=None, admit=None, *, _filters=None):
+        assert admit is None
 
-        return lifo_k(family, k, checked, root, _filters=_filters)
+        def checked(ones, twos):
+            zeros = full & ~(ones | twos)
+            assert close(ones) == ones
+            witness = subtrees._witness(ones, zeros, full, t.neighbor_masks, k)
+            assert witness is not None
+            assert is_connected(t, from_mask(witness))
+            assert not ones & ~witness and not witness & zeros
+            assert witness.bit_count() >= k
+            count["admitted"] += 1
+            return True
 
-    def counting_witness(*args):
-        count["witness_calls"] += 1
-        return witness_of(*args)
+        return lifo(family, k, checked, _filters=_filters)
 
-    monkeypatch.setattr(subtrees, "_lifo_k", checking_lifo_k)
-    monkeypatch.setattr(subtrees, "_witness", counting_witness)
+    plain = [enumerate_k_subtrees(t, k) for k in range(t.w + 1)]
+    monkeypatch.setattr(subtrees, "_lifo", checking_lifo)
     for k in range(t.w + 1):
-        before = dict(count)
-        stats = enumerate_k_subtrees(t, k).stats
-        assert count["admits"] - before["admits"] == stats.candidate_sons + 1
-        assert count["admitted"] - before["admitted"] == stats.candidate_sons - stats.killed_candidates + 1
-    # the father's witness settles some admits without a new test
-    assert count["witness_calls"] < count["admits"] or t.w < 3
+        before = count["admitted"]
+        stack = enumerate_k_subtrees(t, k)
+        assert stack == plain[k]
+        assert count["admitted"] - before == stack.stats.candidate_sons - stack.stats.killed_candidates + 1
 
 
 def differential_trees():
