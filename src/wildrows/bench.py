@@ -22,6 +22,7 @@ from .core import (
     Record,
     Tree,
     _setattr,
+    _size,
     bit_positions,
     from_mask,
     union_over,
@@ -116,8 +117,7 @@ def gen_layered_poset(spec: LayeredSpec) -> Poset:
 def gen_random_tree(w: int, seed: int) -> Tree:
     """Uniform random labelled tree by decoding a random length-(w-2) code
     over 1..w (smallest-leaf-first decoding)."""
-    if w < 1:
-        raise InputError(f"tree needs at least one vertex, got w={w}")
+    w = _size(w, 1, "tree needs at least one vertex, got w={}")
     if w == 1:
         return Tree(1, [])
     rng = SplitMix64(seed)

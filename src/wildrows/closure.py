@@ -4,6 +4,9 @@ The chaining is counter-based: one countdown per implication plus a queue of
 newly added elements, so a single call costs time proportional to the total
 written length of the family plus the universe size.  Repeated sweeps over
 the family (which would multiply the cost by the family size) are avoided.
+`Closer` indexes the premises per element as lists of implication indices,
+in the same pass that reads the family; the LIFO loop keeps its own index,
+as bitsets (`engine._premise_table`).
 """
 
 from __future__ import annotations
@@ -11,22 +14,12 @@ from __future__ import annotations
 from .core import ImplicationFamily, _positive_mask, _within, bit_positions, from_mask
 
 
-def premise_index(w: int, masks) -> list[list[int]]:
-    """index[e] lists, ascending, the implication indices whose premise
-    holds element e (index[0] is empty); `masks` as ImplicationFamily.masks."""
-    index: list[list[int]] = [[] for _ in range(w + 1)]
-    for i, (prem, _) in enumerate(masks):
-        while prem:
-            low = prem & -prem
-            index[low.bit_length()].append(i)
-            prem ^= low
-    return index
-
-
 class Closer:
     """Reusable forward-chaining engine for one fixed family.
 
-    Precomputes, per element, which implication premises mention it, so that
+    One pass over the family records each implication's premise size and
+    conclusion, the conclusions of the empty premises, and per element the
+    ascending indices of the implications whose premise holds it, so that
     repeated closure queries skip the per-call indexing cost.  `decrements`
     accumulates the number of premise-counter decrements across calls (each
     implication's counter is touched at most once per premise element), which
@@ -37,13 +30,15 @@ class Closer:
         self.family = family
         self._sizes = []
         self._concs = []
-        self._touch = premise_index(family.w, family.masks)
+        self._touch = [[] for _ in range(family.w + 1)]  # _touch[0] stays empty
         self._instant = 0  # conclusions of empty-premise implications
-        for prem, conc in family.masks:
+        for i, (prem, conc) in enumerate(family.masks):
             self._sizes.append(prem.bit_count())
             self._concs.append(conc)
             if prem == 0:
                 self._instant |= conc
+            for e in bit_positions(prem):
+                self._touch[e].append(i)
         self.decrements = 0
 
     def close_mask(self, seed: int) -> int:

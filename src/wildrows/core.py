@@ -62,10 +62,22 @@ def union_over(table, mask: int) -> int:
 
 
 def _label(e: int, w: int) -> int:
-    """e, refused unless it is an element of 1..w."""
-    if not 1 <= e <= w:
-        raise InputError(f"element {e} outside universe 1..{w}")
+    """e, refused unless it is an int (a bool too) in 1..w."""
+    if not (isinstance(e, int) and 1 <= e <= w):
+        raise InputError(f"element {e!r} outside universe 1..{w}")
     return e
+
+
+def _size(w: int, least: int, text: str) -> int:
+    """w as an int, refused unless `operator.index` takes it and it is at
+    least `least`; `text` names a w that is too small, through format."""
+    try:
+        n = operator.index(w)
+    except TypeError:
+        raise InputError(f"size must be an int, got {w!r}") from None
+    if n < least:
+        raise InputError(text.format(n))
+    return n
 
 
 def _positive_mask(x, w: int) -> int:
@@ -206,14 +218,13 @@ class ImplicationFamily(Record):
     """
 
     def __init__(self, w: int, implications: Iterable[Implication]):
-        if w < 0:
-            raise InputError(f"universe size must be nonnegative, got {w}")
+        w = _size(w, 0, "universe size must be nonnegative, got {}")
         masks = []
         for imp in implications:
-            # checked before to_mask, which fails on element 0 or a negative one
-            for e in itertools.chain(imp.premise, imp.conclusion):
-                _label(e, w)
-            masks.append((to_mask(imp.premise), to_mask(imp.conclusion)))
+            # each label is checked before to_mask shifts by it, which fails
+            # on a non-int, on element 0 or on a negative one
+            masks.append((to_mask(_label(e, w) for e in imp.premise),
+                          to_mask(_label(e, w) for e in imp.conclusion)))
         _setattr(self, "w", w)
         _setattr(self, "masks", tuple(masks))
 
@@ -229,6 +240,8 @@ class ImplicationFamily(Record):
         family = cls(w, ())
         masks = tuple(masks)
         for prem, conc in masks:  # a negative mask is named as given
+            if not (isinstance(prem, int) and isinstance(conc, int)):
+                raise InputError(f"mask pair ({prem!r},{conc!r}) is not two ints")
             _within(prem | conc if prem >= 0 and conc >= 0 else min(prem, conc), w)
         _setattr(family, "masks", tuple((prem, conc & ~prem) for prem, conc in masks))
         return family
@@ -566,7 +579,8 @@ class Poset:
     every deterministic ordering downstream.  When every pair u ≠ v rises
     (u < v) that extension is 1..w and no cycle can occur, so the
     topological sort is skipped; every pair is still range-checked.  A
-    label outside 1..w, or a non-int one in a pair u ≠ v, raises InputError.
+    label outside 1..w, a non-int one in a pair u ≠ v, a relation that is
+    no pair and a size that is no int raise InputError.
 
     The order is held as per-element masks indexed by label (index 0 unused):
     `down_masks`/`up_masks` for the generated ideal/filter,
@@ -575,23 +589,27 @@ class Poset:
     """
 
     def __init__(self, w: int, relations: Iterable[tuple[int, int]] = ()):
-        if w < 0:
-            raise InputError(f"poset size must be nonnegative, got {w}")
-        self.w = w
+        self.w = w = _size(w, 0, "poset size must be nonnegative, got {}")
         pred = [0] * (w + 1)
         succ = [0] * (w + 1)
         below = [[] for _ in range(w + 1)]
         above = [[] for _ in range(w + 1)]
         bit = {e: 1 << (e - 1) for e in range(1, w + 1)}  # the range check and the mask bit
-        for u, v in relations:
+        for rel in relations:
             try:
+                u, v = rel
                 bu, bv = bit[u], bit[v]
                 if u != v:
                     pred[v] |= bu
                     succ[u] |= bv
                     below[v].append(u)
                     above[u].append(v)
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):
+                # named as a pair when it unpacks into one
+                try:
+                    u, v = rel
+                except (TypeError, ValueError):
+                    raise InputError(f"relation {rel!r} is not a pair") from None
                 raise InputError(f"relation ({u!r},{v!r}) outside universe 1..{w}") from None
         if all(pred[v] < bit[v] for v in range(1, w + 1)):
             # every pair rises: 1..w is the least linear extension and no cycle is possible
@@ -745,13 +763,14 @@ class Tree:
     """
 
     def __init__(self, w: int, edges: Iterable[tuple[int, int]]):
-        if w < 1:
-            raise InputError(f"tree needs at least one vertex, got w={w}")
-        self.w = w
+        self.w = w = _size(w, 1, "tree needs at least one vertex, got w={}")
         norm = []
-        for u, v in edges:
-            labels = isinstance(u, int) and isinstance(v, int)
-            if not (labels and 1 <= u <= w and 1 <= v <= w) or u == v:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InputError(f"bad tree edge {edge!r} is not a pair") from None
+            if not (isinstance(u, int) and isinstance(v, int) and 1 <= u <= w and 1 <= v <= w) or u == v:
                 raise InputError(f"bad tree edge ({u!r},{v!r})")
             norm.append((min(u, v), max(u, v)))
         norm.sort()

@@ -37,7 +37,7 @@ import math
 import operator
 from typing import Callable, Iterator, Optional
 
-from .closure import Closer, is_model_mask, premise_index
+from .closure import Closer, is_model_mask
 from .core import (
     GuardError,
     Implication,
@@ -153,15 +153,19 @@ def candidate_sons(r: Row012, imp: Implication) -> list[Row012]:
 
 def _premise_table(w: int, masks) -> list[int]:
     """table[e] is the bitset of the implication indices whose premise holds
-    element e (table[0] = 0).  Linear in the total premise length plus
-    w*h/8 bytes: `premise_index`, then one bytearray per element."""
-    size = (len(masks) + 7) // 8
-    table = [0]
-    for indices in premise_index(w, masks)[1:]:
-        buf = bytearray(size)
-        for i in indices:
-            buf[i >> 3] |= 1 << (i & 7)
-        table.append(int.from_bytes(buf, "little"))
+    element e (table[0] = 0).  One pass over the premises sets bit i of
+    each of premise i's elements in that element's bytearray, then each
+    bytearray becomes an int in place: linear in the total premise length
+    plus w*h/8 bytes."""
+    table = [bytearray((len(masks) + 7) // 8) for _ in range(w + 1)]
+    for i, (prem, _) in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
+        while prem:
+            low = prem & -prem
+            table[low.bit_length()][byte] |= bit
+            prem ^= low
+    for e, buf in enumerate(table):
+        table[e] = int.from_bytes(buf, "little")
     return table
 
 

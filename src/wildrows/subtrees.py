@@ -90,9 +90,10 @@ TREE_BASE_MAX_LENGTH = 4_000_000
 # Largest w*h tree_base will build: the bit size of its premise masks and of
 # the engine's per-element premise table (w*h/8 bytes).  h = (w-1)(w-2)/2 on
 # every tree, so this refuses w > 646.  Building the base and the table peaks
-# (tracemalloc, CPython 3.11) at 0.31-1.0 bytes per unit: 12 MB on the
-# 287-vertex path, 48 MB on a random tree with w=500, 52 MB on the 646-star,
-# 65 MB on a depth-2 tree with w=646, 157 MB on the 1000-star (refused).
+# (tracemalloc, CPython 3.11) at 0.35-0.71 bytes per unit: 8 MB on the
+# 287-vertex path, 36 MB on gen_random_tree(500, 5), 47 MB on the 646-star,
+# 64 MB on a depth-2 tree with w=646 (vertex 1 with 25 children, the other
+# 620 vertices spread evenly below them).
 TREE_BASE_MAX_CELLS = 1 << 27
 
 
@@ -171,18 +172,14 @@ def tree_base(t: Tree) -> ImplicationFamily:
 def _steiner(up, tip, seed: int) -> int:
     """The closure of the seed: the OR (union) and AND (common) of its
     vertices' root paths, the union less the common path but its tip; the
-    closure of no vertex is empty.  The fold skips the seed's vertices in
-    union & ~common: each lies on a folded root path below the common path,
-    so its own root path, a prefix of that one holding the common path,
-    would change neither.  Vertices on the common path are still folded:
-    they can raise the lowest common ancestor."""
+    closure of no vertex is empty."""
     union, common = 0, -1
     while seed:
         low = seed & -seed
         v = low.bit_length()
         union |= up[v]
         common &= up[v]
-        seed &= ~(union & ~common | low)
+        seed ^= low
     return union & ~common | tip[common] if union else 0
 
 
@@ -192,8 +189,10 @@ def steiner_closure_mask(t: Tree):
     The union of the seed's root paths is the subtree spanning vertex 1 and
     the seed; their intersection is the path from vertex 1 to the seed's
     lowest common ancestor.  Dropping that path, but keeping the ancestor,
-    leaves the smallest subtree containing the seed.  O(|seed|) mask
-    operations per call; agrees with forward chaining on tree_base(t).
+    leaves the smallest subtree containing the seed.  One OR and one AND
+    per seed vertex; agrees with forward chaining on tree_base(t).  The
+    k-subtree enumerator calls no closure: `subtree_oracle` and the
+    replays through `enumerate_k_models` do.
     """
     return partial(_steiner, *_path_table(t))
 

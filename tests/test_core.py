@@ -372,10 +372,31 @@ def test_family_validates_universe():
         with pytest.raises(InputError) as bad:
             build(-1, [])
         assert str(bad.value) == "universe size must be nonnegative, got -1"
+    # bools are ints, as in Tree
+    assert ImplicationFamily(True, [Implication({True}, set())]).masks == ((1, 0),)
     fam = ImplicationFamily(7, [Implication({5}, {6, 7}), Implication({3}, {4, 5})])
     assert fam.h == 2
     assert fam.total_length == 3 + 3
     assert fam.total_length <= fam.w * fam.h
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: ImplicationFamily("3", []), "size must be an int, got '3'"),
+    (lambda: ImplicationFamily(2.0, []), "size must be an int, got 2.0"),
+    (lambda: ImplicationFamily.from_masks(2.0, []), "size must be an int, got 2.0"),
+    (lambda: ImplicationFamily(3, [Implication({1.5}, {1})]), "element 1.5 outside universe 1..3"),
+    (lambda: ImplicationFamily(3, [Implication({"a"}, {1})]), "element 'a' outside universe 1..3"),
+    (lambda: ImplicationFamily(3, [Implication({1}, {2, "b"})]), "element 'b' outside universe 1..3"),
+    (lambda: ImplicationFamily.from_masks(3, [(1.5, 1)]), "mask pair (1.5,1) is not two ints"),
+    (lambda: ImplicationFamily.from_masks(3, [(0b1, 0b10), (1, "2")]), "mask pair (1,'2') is not two ints"),
+], ids=["str-size", "float-size", "float-size-from-masks", "float-label", "str-premise-label",
+        "str-conclusion-label", "float-mask", "str-mask"])
+def test_family_refuses_a_size_label_or_mask_that_is_no_int(build, text):
+    # InputError rather than the TypeError of a comparison, a shift or an
+    # OR; ImplicationFamily(2.0, []) was once accepted with w = 2.0
+    with pytest.raises(InputError) as bad:
+        build()
+    assert str(bad.value) == text
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +516,20 @@ def test_tree_int_texts_and_bool_labels_stay():
     assert str(e.value) == "bad tree edge (1,4)"
     # bools are ints
     assert Tree(3, [(True, 2), (2, 3)]) == Tree.path_graph(3)
+
+
+@pytest.mark.parametrize("w, edges, text", [
+    (3, [(1, 2, 3), (2, 3)], "bad tree edge (1, 2, 3) is not a pair"),
+    (3, [1, (2, 3)], "bad tree edge 1 is not a pair"),
+    (2.0, [(1, 2)], "size must be an int, got 2.0"),
+    ("3", [], "size must be an int, got '3'"),
+], ids=repr)
+def test_tree_refuses_an_edge_that_is_no_pair_and_a_size_that_is_no_int(w, edges, text):
+    # InputError rather than the ValueError or TypeError of an unpack, a
+    # comparison or a list size
+    with pytest.raises(InputError) as e:
+        Tree(w, edges)
+    assert str(e.value) == text
 
 
 def test_tree_without_vertices():

@@ -225,3 +225,18 @@ def test_bool_labels_and_a_float_self_loop_are_accepted():
     # bools are ints; a self-loop is skipped before any list is indexed
     assert Poset(3, [(True, 2)]) == Poset(3, [(1, 2)])
     assert Poset(3, [(2.0, 2.0), (1, 3)]) == Poset(3, [(1, 3)])
+
+
+@pytest.mark.parametrize("w, relations, text", [
+    (3, [(1, 2, 3)], "relation (1, 2, 3) is not a pair"),
+    (3, [1], "relation 1 is not a pair"),
+    (3, [(1, 2), (2,)], "relation (2,) is not a pair"),
+    (2.0, [], "size must be an int, got 2.0"),
+    ("3", [], "size must be an int, got '3'"),
+], ids=repr)
+def test_a_relation_that_is_no_pair_or_a_size_that_is_no_int_is_refused(w, relations, text):
+    # InputError rather than the ValueError or TypeError of an unpack, a
+    # comparison or a list size
+    with pytest.raises(InputError) as info:
+        Poset(w, relations)
+    assert str(info.value) == text

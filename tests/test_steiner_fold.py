@@ -1,10 +1,8 @@
-"""The Steiner fold with its covered-vertex skip, folded in steps.
+"""The Steiner fold, folded in steps.
 
-`subtrees._steiner` skips the seed's vertices that already lie inside the
-union of folded root paths and below their common path.  The skip must
-leave the closure a fold of every vertex would give, and the closure must
-be one: closing a running closure with each further seed in turn gives
-the closure of their union.
+`subtrees._steiner` folds the root path of every seed vertex.  The result
+must be a closure: closing a running closure with each further seed in
+turn gives the closure of their union.
 """
 
 import functools
@@ -26,8 +24,7 @@ def fold_trees():
 def test_steiner_fold_in_steps_matches_one_fold_and_forward_chaining():
     # fold random seeds into a running closure, step by step: the result is
     # the closure of every seed so far, read off the OR and AND of their
-    # vertices' root paths without any skip, and the forward chaining on
-    # tree_base(t)
+    # vertices' root paths, and the forward chaining on tree_base(t)
     rng = SplitMix64(1039)
     for t in fold_trees():
         up, tip = subtrees._path_table(t)

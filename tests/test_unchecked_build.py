@@ -1,7 +1,8 @@
 """Rows, polynomials, natural bases and tree bases that the library builds
 without the constructors' checks (`Record._trusted`) equal their rebuilds
 through the checking public constructors, field for field; the engine's
-premise table equals the general build."""
+premise table equals its definition, and `Closer`'s own premise index
+counts exactly the decrements that definition implies."""
 
 import pickle
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from test_rankpoly import shuffled_layered
 from test_whitney_golden import LAYERED, NAMES, poset
 
 from wildrows import (
+    Closer,
     ImplicationFamily,
     Poset,
     RankPolynomial,
@@ -24,7 +26,6 @@ from wildrows import (
     natural_base,
     tree_base,
 )
-from wildrows.closure import premise_index
 from wildrows.core import poly_mul, to_mask
 from wildrows.engine import _premise_table
 
@@ -207,8 +208,10 @@ def test_tree_base_equals_its_checked_build(name, t):
 
 
 def general_premise_table(w, masks):
-    """table[e] as the OR of 1 << i over premise_index's list for e."""
-    return [0] + [sum(1 << i for i in indices) for indices in premise_index(w, masks)[1:]]
+    """table[e] by its definition: the OR of 1 << i over the implications i
+    whose premise holds e."""
+    return [0] + [sum(1 << i for i, (prem, _) in enumerate(masks) if prem >> (e - 1) & 1)
+                  for e in range(1, w + 1)]
 
 
 def families():
@@ -247,3 +250,18 @@ def test_the_families_cover_the_edge_cases():
 @pytest.mark.parametrize("name, family", FAMILIES, ids=[name for name, _ in FAMILIES])
 def test_premise_table_equals_the_general_build(name, family):
     assert _premise_table(family.w, family.masks) == general_premise_table(family.w, family.masks)
+
+
+@pytest.mark.parametrize("name, family", FAMILIES, ids=[name for name, _ in FAMILIES])
+def test_closer_decrements_count_every_premise_of_every_closed_element(name, family):
+    # each closed element is popped once and decrements the counter of every
+    # implication whose premise holds it, so a run of closures decrements
+    # exactly the popcounts of the table rows of the elements it closed
+    table = general_premise_table(family.w, family.masks)
+    closer = Closer(family)
+    rng = SplitMix64(2111)
+    want = 0
+    for _ in range(6):
+        closed = closer.close_mask(to_mask(rng.sample(range(1, family.w + 1), rng.below(family.w + 1))))
+        want += sum(table[e].bit_count() for e in range(1, family.w + 1) if closed >> (e - 1) & 1)
+    assert closer.decrements == want
